@@ -1,6 +1,6 @@
 """Snake — the paper's primary contribution."""
 
-from .head_table import HeadTable, Transition
+from .head_table import HeadTable
 from .snake import SnakePrefetcher
 from .tail_table import TailEntry, TailTable, TrainState
 from .throttle import NullThrottle, Throttle
@@ -13,5 +13,4 @@ __all__ = [
     "TailTable",
     "Throttle",
     "TrainState",
-    "Transition",
 ]

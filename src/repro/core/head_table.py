@@ -1,9 +1,9 @@
 """Snake's Head table (§3.1).
 
 Indexed by warp id, each entry holds the warp's last executed load PC and the
-address it requested.  On every load the entry is updated and the table emits
-a :class:`Transition` — (previous PC, current PC, address delta) — which
-trains the Tail table.
+address it requested.  On every load the entry is updated and the table
+returns the transition from the warp's previous load — its PC and the
+address delta, as a ``(pc1, stride)`` pair — which trains the Tail table.
 
 The hardware table has N = #warps/2 rows with doubled warp-id/address
 columns so that an aggressive (greedy) scheduler cannot starve inter-warp
@@ -14,7 +14,6 @@ which models the same storage bound.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,16 +23,6 @@ _SAFE_MAG = 1 << 62
 
 #: Schema version carried by every table snapshot (bumped on layout change).
 SNAPSHOT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Transition:
-    """What the Head table forwards to the Tail table on an update."""
-
-    warp_id: int
-    pc1: int
-    pc2: int
-    stride: int
 
 
 class HeadTable:
@@ -46,20 +35,21 @@ class HeadTable:
         self._rows: "OrderedDict[int, Tuple[int, int]]" = OrderedDict()
         self.accesses = 0
 
-    def update(self, warp_id: int, pc: int, addr: int) -> Optional[Transition]:
-        """Record a load; returns the transition from the warp's previous
-        load, or None on the warp's first load (or after eviction)."""
+    def update(
+        self, warp_id: int, pc: int, addr: int
+    ) -> Optional[Tuple[int, int]]:
+        """Record a load; returns ``(pc1, stride)`` — the warp's previous
+        load PC and the address delta from it — or None on the warp's
+        first load (or after eviction)."""
         self.accesses += 1
-        previous = self._rows.pop(warp_id, None)
-        self._rows[warp_id] = (pc, addr)
-        if len(self._rows) > self.capacity:
-            self._rows.popitem(last=False)  # LRU warp falls out
+        rows = self._rows
+        previous = rows.pop(warp_id, None)
+        rows[warp_id] = (pc, addr)
+        if len(rows) > self.capacity:
+            rows.popitem(last=False)  # LRU warp falls out
         if previous is None:
             return None
-        prev_pc, prev_addr = previous
-        return Transition(
-            warp_id=warp_id, pc1=prev_pc, pc2=pc, stride=addr - prev_addr
-        )
+        return previous[0], addr - previous[1]
 
     def update_batch(
         self,
@@ -75,9 +65,8 @@ class HeadTable:
         ``(pc1s, strides, valid)`` arrays: per slot, the transition from the
         warp's previous load, with ``valid[i] == False`` marking a first
         load or post-eviction slot (where ``update`` returns None).  The
-        stride column is computed as one vectorized subtraction instead of
-        N ``Transition`` allocations; equivalence with the scalar path is
-        pinned by property tests.
+        stride column is computed as one vectorized subtraction;
+        equivalence with the scalar path is pinned by property tests.
 
         Raises before any mutation if the inputs cannot be represented as
         int64 — callers fall back to sequential :meth:`update`.

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.obs.events import ChainWalkEvent
 from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
 from repro.prefetch.stride import ConsensusTracker
@@ -118,52 +116,54 @@ class SnakePrefetcher(Prefetcher):
     # ------------------------------------------------------------------
     # Detection (§3.1)
 
-    def _detect(self, event: AccessEvent) -> None:
-        transition = self.head.update(event.warp_id, event.pc, event.base_addr)
-        self._train_tail(
-            event,
-            transition.pc1 if transition is not None else 0,
-            transition.stride if transition is not None else None,
-        )
+    def _detect(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int
+    ) -> None:
+        transition = self.head.update(warp_id, pc, base_addr)
+        if transition is None:
+            self._train_tail(warp_id, pc, base_addr, app_id, 0, None)
+        else:
+            self._train_tail(warp_id, pc, base_addr, app_id, *transition)
 
     def _train_tail(
-        self, event: AccessEvent, pc1: int, stride: Optional[int]
+        self, warp_id: int, pc: int, base_addr: int, app_id: int,
+        pc1: int, stride: Optional[int],
     ) -> None:
         """Tail-side training for one access, given the Head-table
-        transition (``stride is None`` when the warp had no previous load)."""
+        transition ``(pc1, stride)`` (``stride is None`` when the warp had
+        no previous load)."""
+        tail = self.tail
         if stride is not None and stride != 0:
-            self.tail.record(event.warp_id, pc1, event.pc, stride)
+            tail.record(warp_id, pc1, pc, stride)
 
         if self.use_intra:
-            key = (event.app_id, event.warp_id, event.pc)
+            key = (app_id, warp_id, pc)
             last = self._intra_last.get(key)
-            if last is not None and event.base_addr != last:
-                self.tail.record_intra(
-                    event.warp_id, event.pc, event.base_addr - last
-                )
-            self._intra_last[key] = event.base_addr
+            if last is not None and base_addr != last:
+                tail.record_intra(warp_id, pc, base_addr - last)
+            self._intra_last[key] = base_addr
 
         if self.use_inter_warp:
-            slots = self._iw_last.setdefault((event.app_id, event.pc), [])
-            for warp_id, addr in slots:
-                if warp_id == event.warp_id:
+            slots = self._iw_last.setdefault((app_id, pc), [])
+            for other_warp, addr in slots:
+                if other_warp == warp_id:
                     continue
-                gap = event.warp_id - warp_id
-                delta = event.base_addr - addr
+                gap = warp_id - other_warp
+                delta = base_addr - addr
                 if gap != 0 and delta % gap == 0:
                     tracker = self._iw_consensus.setdefault(
-                        (event.app_id, event.pc),
+                        (app_id, pc),
                         ConsensusTracker(threshold=self.train_threshold),
                     )
-                    trained = tracker.vote(event.warp_id, delta // gap)
+                    trained = tracker.vote(warp_id, delta // gap)
                     if trained is not None:
-                        self.tail.record_inter_warp(event.pc, trained)
-            slots.append((event.warp_id, event.base_addr))
+                        tail.record_inter_warp(pc, trained)
+            slots.append((warp_id, base_addr))
             if len(slots) > 2:
                 del slots[0]
 
     # ------------------------------------------------------------------
-    # Prefetch generation (§3.2)
+    # Prefetch generation (§3.2) — scalar reference (``batched=False``)
 
     def _chain_requests(self, event: AccessEvent) -> List[PrefetchRequest]:
         """Walk the chain starting at the current PC (Fig 13).
@@ -233,27 +233,10 @@ class SnakePrefetcher(Prefetcher):
                 requests.append(PrefetchRequest(base_addr=target, depth=k))
         return requests
 
-    # ------------------------------------------------------------------
-
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
-        self._select_app(event.app_id)
-        if event.divergent:
-            # §3.4: warps whose threads do not share a uniform stride are
-            # excluded from prefetching — training on them would only churn
-            # the tables.  The Head entry is still advanced so the next
-            # uniform load does not record a bogus transition.
-            self.head.update(event.warp_id, event.pc, event.base_addr)
-            return []
-        self._detect(event)
-        return self._generate(event)
-
     def _generate(self, event: AccessEvent) -> List[PrefetchRequest]:
-        """Prefetch generation for one (already trained-on) access."""
-        if self.batched:
-            return [
-                PrefetchRequest(base_addr=addr, depth=depth)
-                for addr, depth in self._generate_raw(event)
-            ]
+        """Scalar reference generation for one (already trained-on)
+        access: the differential oracle :meth:`_generate_raw` is pinned
+        to."""
         requests: List[PrefetchRequest] = []
         if self.use_chains:
             requests.extend(self._chain_requests(event))
@@ -282,44 +265,45 @@ class SnakePrefetcher(Prefetcher):
             )
         return unique
 
-    def _generate_raw(self, event: AccessEvent) -> List[Tuple[int, int]]:
+    # ------------------------------------------------------------------
+    # Prefetch generation (§3.2) — the production lane
+
+    def _generate_raw(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int, now: int
+    ) -> List[Tuple[int, int]]:
         """Deduplicated ``(base_addr, depth)`` pairs for one trained-on
-        access — the allocation-light lane under both :meth:`_generate`
-        (which boxes pairs into :class:`PrefetchRequest`) and the SM's
-        batched issue path (:meth:`observe_raw`), which consumes the raw
-        pairs directly.  Ordering, deduplication, ``lookups`` accounting
-        and telemetry match the scalar path exactly."""
+        access.  Ordering, deduplication, ``lookups`` accounting and
+        telemetry match the scalar :meth:`_generate` exactly."""
         pairs: List[Tuple[int, int]]
         if self.use_chains:
             pairs = self.tail.walk_raw(
-                event.pc, event.base_addr, event.warp_id,
+                pc, base_addr, warp_id,
                 min(self.max_chain_depth, self._depth_limit),
             )
         else:
             pairs = []
-        base = event.base_addr
         if self.use_intra:
             # One CAM search, bucket scanned in place (find()'s accounting,
             # without its list copy).
             tail = self.tail
             tail.lookups += 1
-            for entry in tail._pc_index.get(event.pc, ()):
+            for entry in tail._pc_index.get(pc, ()):
                 if entry.t2.prefetchable and entry.intra_stride:
                     stride = entry.intra_stride
                     pairs.extend(
-                        (base + k * stride, k)
+                        (base_addr + k * stride, k)
                         for k in range(1, self.intra_degree + 1)
-                        if base + k * stride >= 0
+                        if base_addr + k * stride >= 0
                     )
                     break
         if self.use_inter_warp:
-            tracker = self._iw_consensus.get((event.app_id, event.pc))
+            tracker = self._iw_consensus.get((app_id, pc))
             if tracker is not None and tracker.trained_stride is not None:
                 stride = tracker.trained_stride
                 pairs.extend(
-                    (base + k * stride, k)
+                    (base_addr + k * stride, k)
                     for k in range(1, self.inter_warp_degree + 1)
-                    if base + k * stride >= 0
+                    if base_addr + k * stride >= 0
                 )
 
         # Inter-thread first (higher accuracy, §3.4), then de-duplicate.
@@ -333,80 +317,107 @@ class SnakePrefetcher(Prefetcher):
         if unique and self.obs.enabled:
             self.obs.emit(
                 ChainWalkEvent(
-                    cycle=event.now,
+                    cycle=now,
                     sm_id=self.obs_sm_id,
-                    warp_id=event.warp_id,
-                    pc=event.pc,
+                    warp_id=warp_id,
+                    pc=pc,
                     depth=max(d for _, d in unique),
                     requests=len(unique),
                 )
             )
         return unique
 
-    def observe_raw(self, event: AccessEvent) -> List[Tuple[int, int]]:
-        """Digest one access and return raw ``(base_addr, depth)`` pairs.
+    # ------------------------------------------------------------------
 
-        The SM's batched issue path (``GPUConfig.batched_issue``) uses this
-        lane to skip per-request :class:`PrefetchRequest` boxing — the
-        batch issuer only consumes base addresses.  Learner state
-        transitions and the pair stream are identical to :meth:`observe`
-        (property-pinned); with ``batched=False`` it simply unboxes the
-        scalar oracle's requests.
+    def observe_raw(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0,
+    ) -> List[Tuple[int, int]]:
+        """Digest one access given as plain ints; return its deduplicated
+        ``(base_addr, depth)`` prefetch pairs.
+
+        The production lane: the SM and the serve core call it with the
+        load's fields, so no :class:`AccessEvent` or
+        :class:`PrefetchRequest` is built.  ``now`` only stamps telemetry.
+        With ``batched=False`` generation runs the scalar oracle
+        (:meth:`_generate`) and its requests are unboxed.
         """
-        if not self.batched:
-            return [
-                (r.base_addr, r.depth) for r in self.observe(event)
-            ]
-        self._select_app(event.app_id)
-        if event.divergent:
-            self.head.update(event.warp_id, event.pc, event.base_addr)
+        if self.per_app:
+            self._select_app(app_id)
+        if divergent:
+            # §3.4: warps whose threads do not share a uniform stride are
+            # excluded from prefetching — training on them would only churn
+            # the tables.  The Head entry is still advanced so the next
+            # uniform load does not record a bogus transition.
+            self.head.update(warp_id, pc, base_addr)
             return []
-        self._detect(event)
-        return self._generate_raw(event)
+        self._detect(warp_id, pc, base_addr, app_id)
+        if self.batched:
+            return self._generate_raw(warp_id, pc, base_addr, app_id, now)
+        return [
+            (r.base_addr, r.depth)
+            for r in self._generate(AccessEvent(
+                warp_id=warp_id, cta_id=0, pc=pc, base_addr=base_addr,
+                line_addr=base_addr, now=now, app_id=app_id,
+            ))
+        ]
+
+    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
+        """The generic :class:`Prefetcher` adapter: :meth:`observe_raw`
+        with the pairs boxed."""
+        return [
+            PrefetchRequest(base_addr=addr, depth=depth)
+            for addr, depth in self.observe_raw(
+                event.warp_id, event.pc, event.base_addr, event.app_id,
+                event.divergent, event.now,
+            )
+        ]
 
     def observe_batch(
-        self, events: Sequence[AccessEvent]
-    ) -> List[List[PrefetchRequest]]:
-        """Train and predict for a whole batch of accesses in one sweep.
+        self,
+        warp_ids: Sequence[int],
+        pcs: Sequence[int],
+        addrs: Sequence[int],
+        app_ids: Sequence[int],
+        nows: Sequence[int],
+    ) -> List[List[int]]:
+        """Train and predict for a batch of uniform (non-divergent)
+        accesses given as aligned sequences; returns each access's
+        predicted base addresses.
 
         The Head-table updates for the entire batch run as one vectorized
         ``update_batch`` call; Tail training and chain walks then proceed
-        per event in input order, so the learner state, ``lookups``
+        per access in input order, so the learner state, ``lookups``
         accounting, and every prediction list are identical to N sequential
-        :meth:`observe` calls (the serve digest-parity property).  Falls
-        back to the sequential path for per-app table routing or inputs the
-        int64 fast path cannot represent.
+        :meth:`observe_raw` calls (the serve digest-parity property).
+        Falls back to the sequential lane for per-app table routing, the
+        scalar oracle, or inputs the int64 fast path cannot represent.
         """
-        if self.per_app or not events:
-            return [self.observe(event) for event in events]
-        n = len(events)
-        try:
-            warps = np.fromiter(
-                (e.warp_id for e in events), dtype=np.int64, count=n
-            )
-            pcs = np.fromiter((e.pc for e in events), dtype=np.int64, count=n)
-            addrs = np.fromiter(
-                (e.base_addr for e in events), dtype=np.int64, count=n
-            )
-        except OverflowError:
-            return [self.observe(event) for event in events]
-        pc1s, strides, valid = self.head.update_batch(warps, pcs, addrs)
-        valid_l = valid.tolist()
-        pc1s_l = pc1s.tolist()
-        strides_l = strides.tolist()
-        results: List[List[PrefetchRequest]] = []
-        for i, event in enumerate(events):
-            if event.divergent:
-                # Head entry already advanced by the batch update.
-                results.append([])
-                continue
-            self._train_tail(
-                event,
-                int(pc1s_l[i]),
-                int(strides_l[i]) if valid_l[i] else None,
-            )
-            results.append(self._generate(event))
-        return results
+        if self.batched and not self.per_app:
+            try:
+                pc1s, strides, valid = self.head.update_batch(
+                    warp_ids, pcs, addrs
+                )
+            except OverflowError:
+                pass
+            else:
+                results: List[List[int]] = []
+                for warp_id, pc, addr, app_id, now, ok, pc1, stride in zip(
+                    warp_ids, pcs, addrs, app_ids, nows,
+                    valid.tolist(), pc1s.tolist(), strides.tolist(),
+                ):
+                    self._train_tail(
+                        warp_id, pc, addr, app_id, pc1, stride if ok else None
+                    )
+                    results.append([
+                        target for target, _ in
+                        self._generate_raw(warp_id, pc, addr, app_id, now)
+                    ])
+                return results
+        return [
+            [target for target, _ in self.observe_raw(w, p, a, app, False, now)]
+            for w, p, a, app, now in zip(warp_ids, pcs, addrs, app_ids, nows)
+        ]
 
     def tables(self) -> List[Tuple[int, HeadTable, TailTable]]:
         """Every (app_id, head, tail) table pair this prefetcher owns —

@@ -14,7 +14,8 @@ vector.  The popcount-only variant (Fig 22) is selectable.
 The store is a CAM indexed by PC1: entries live both in a store-ordered list
 (snapshot order, eviction scans) and in a per-PC1 bucket index, with the
 walk-relevant fields (stride / train / warp-vector / popcount — the link,
-confidence and delta columns) mirrored into preallocated numpy columns.
+confidence and delta columns) mirrored into preallocated numpy columns in
+tables large enough to read them (``capacity >= _NP_MIN``).
 :meth:`walk_raw` consumes those columns to fan out and transitively walk a
 whole variable-length chain per trigger in one call, mirroring the
 raw-arguments convention of ``repro.gpusim.coalescer.coalesce_lines``.
@@ -112,10 +113,16 @@ class TailTable:
         self._pc_index: Dict[int, List[TailEntry]] = {}
         self._pc_rows: Dict[int, np.ndarray] = {}
         self._free_rows: List[int] = list(range(capacity - 1, -1, -1))
-        self._col_stride = np.zeros(capacity, dtype=np.int64)
-        self._col_train = np.zeros(capacity, dtype=np.uint8)
-        self._col_wv = np.zeros(capacity, dtype=np.uint64)
-        self._col_pop = np.zeros(capacity, dtype=np.int16)
+        # walk_raw reads the columns only for a bucket of >= _NP_MIN
+        # entries, and len(bucket) <= len(entries) <= capacity, so a
+        # smaller table (the paper's 10 entries) never reads them: it
+        # neither allocates nor writes the mirror.
+        self._mirror = capacity >= _NP_MIN
+        if self._mirror:
+            self._col_stride = np.zeros(capacity, dtype=np.int64)
+            self._col_train = np.zeros(capacity, dtype=np.uint8)
+            self._col_wv = np.zeros(capacity, dtype=np.uint64)
+            self._col_pop = np.zeros(capacity, dtype=np.int16)
         self._wide = False
         self._dirty = False
 
@@ -160,7 +167,8 @@ class TailTable:
         for row, entry in enumerate(self._entries):
             entry._row = row
             self._pc_index.setdefault(entry.pc1, []).append(entry)
-            self._sync(entry)
+            if self._mirror:
+                self._sync(entry)
         self._free_rows = list(range(self.capacity - 1, len(self._entries) - 1, -1))
         self._dirty = False
 
@@ -169,7 +177,8 @@ class TailTable:
         self._pc_index.setdefault(entry.pc1, []).append(entry)
         self._pc_rows.pop(entry.pc1, None)
         entry._row = self._free_rows.pop()
-        self._sync(entry)
+        if self._mirror:
+            self._sync(entry)
 
     def _remove(self, entry: TailEntry) -> None:
         for i, candidate in enumerate(self._entries):
@@ -360,7 +369,8 @@ class TailTable:
                 entry.warp_vector &= ~warp_bit
                 if entry.warp_vector == 0:
                     entry.t1 = TrainState.NOT_TRAINED
-                self._sync(entry)
+                if self._mirror:
+                    self._sync(entry)
 
         if match is None:
             match = TailEntry(pc1=pc1, pc2=pc2, inter_thread_stride=stride)
@@ -378,7 +388,8 @@ class TailTable:
             match.t1 = TrainState.PROMOTED
         elif match.t1 is TrainState.PROMOTED and popcount > self.train_threshold:
             match.t1 = TrainState.TRAINED
-        self._sync(match)
+        if self._mirror:
+            self._sync(match)
         return match
 
     def record_intra(self, warp_id: int, pc: int, stride: int) -> None:
@@ -470,8 +481,9 @@ class TailTable:
     def restore(cls, data: Mapping[str, Any]) -> "TailTable":
         """Rebuild a table from :meth:`snapshot` output (exact state:
         entry order, train states, vote sets, LRU ticks and counters; the
-        PC index and numpy column mirror are rebuilt entry by entry so the
-        restored table walks — and re-snapshots — byte-identically)."""
+        PC index and, where the table keeps one, the numpy column mirror
+        are rebuilt entry by entry so the restored table walks — and
+        re-snapshots — byte-identically)."""
         if data.get("v") != SNAPSHOT_VERSION:
             raise ValueError(
                 "unsupported TailTable snapshot version %r" % (data.get("v"),)

@@ -161,9 +161,9 @@ class GPUConfig:
 
     # Batched hot path (docs/PERFORMANCE.md).  ``batched_tables`` routes
     # Snake chain generation through the Tail table's numpy column-mirror
-    # walk (``TailTable.walk_raw``); ``batched_issue`` routes prefetch
-    # candidates through the one-pass L1 batch filter
-    # (``UnifiedL1Cache.prefetch_batch``).  ``False`` selects the scalar
+    # walk (``TailTable.walk_raw``); ``batched_issue`` routes each
+    # trigger's prefetch candidates through the one-pass L1 filter
+    # (``UnifiedL1Cache.prefetch_trigger``).  ``False`` selects the scalar
     # reference paths, retained as differential oracles — both settings
     # must produce identical statistics on any workload (pinned by
     # property tests).

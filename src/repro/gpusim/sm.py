@@ -108,8 +108,9 @@ class SM:
         # Whether the prefetcher accepts a dynamic chain-depth cap; probed
         # once here instead of per observed access.
         self._pf_has_depth_limit = hasattr(prefetcher, "set_depth_limit")
-        # Raw-pair observe lane (Snake): returns (base_addr, depth) tuples
-        # so the batched issue path skips PrefetchRequest boxing entirely.
+        # Raw observe lane (Snake): takes the load's fields as plain ints
+        # and returns (base_addr, depth) pairs, so the batched issue path
+        # builds neither an AccessEvent nor PrefetchRequests.
         self._pf_observe_raw = getattr(prefetcher, "observe_raw", None)
         # A mechanism that never predicts ("none" baseline keeps the base
         # class observe) makes the whole prefetcher hook a no-op, so loads
@@ -465,17 +466,7 @@ class SM:
     def _feed_prefetcher(
         self, warp: WarpState, instr: WarpInstr, line_addr: int
     ) -> None:
-        event = AccessEvent(
-            warp_id=warp.warp_id,
-            cta_id=warp.cta_id,
-            pc=instr.pc,
-            base_addr=instr.base_addr,
-            line_addr=line_addr,
-            now=self.now,
-            thread_stride=instr.thread_stride,
-            divergent=instr.divergent,
-            app_id=self._cta_app.get(warp.cta_id, 0),
-        )
+        app_id = self._cta_app.get(warp.cta_id, 0)
         if self._pf_has_depth_limit:
             utilization = 0.5 * (
                 self.icnt_req.measured_utilization(self.now)
@@ -491,31 +482,41 @@ class SM:
             # the tables are consulted — predictions may go wrong, demand
             # correctness cannot.
             self._faults.corrupt_tail(self.prefetcher, self.now, self.sm_id)
-        if (
+        batched = (
             self._batched_issue
             and not self.obs.enabled
             and not self.prefetcher.uses_magic
-        ):
-            observe_raw = self._pf_observe_raw
-            if observe_raw is not None:
-                pairs = observe_raw(event)
-                if not pairs:
-                    return
-                self.l1.prefetcher_trained = self.prefetcher.trained
-                self._issue_prefetch_batch(pairs, instr)
-                return
-            requests = self.prefetcher.observe(event)
-            if not requests:
+        )
+        observe_raw = self._pf_observe_raw
+        if batched and observe_raw is not None:
+            pairs = observe_raw(
+                warp.warp_id, instr.pc, instr.base_addr, app_id,
+                instr.divergent, self.now,
+            )
+            if not pairs:
                 return
             self.l1.prefetcher_trained = self.prefetcher.trained
+            self._issue_prefetch_batch(pairs, instr)
+            return
+        requests = self.prefetcher.observe(AccessEvent(
+            warp_id=warp.warp_id,
+            cta_id=warp.cta_id,
+            pc=instr.pc,
+            base_addr=instr.base_addr,
+            line_addr=line_addr,
+            now=self.now,
+            thread_stride=instr.thread_stride,
+            divergent=instr.divergent,
+            app_id=app_id,
+        ))
+        if not requests:
+            return
+        self.l1.prefetcher_trained = self.prefetcher.trained
+        if batched:
             self._issue_prefetch_batch(
                 [(r.base_addr, r.depth) for r in requests], instr
             )
             return
-        requests = self.prefetcher.observe(event)
-        if not requests:
-            return
-        self.l1.prefetcher_trained = self.prefetcher.trained
         for request in requests:
             self._issue_prefetch(request, instr)
 

@@ -574,86 +574,6 @@ class UnifiedL1Cache:
         self.stats.prefetch.issued += 1
         return True
 
-    def prefetch_batch(self, line_addrs: List[int], now: int) -> List[bool]:
-        """Issue one trigger's whole line vector in a single pass
-        (``config.batched_issue``): duplicate/in-flight filtering, MSHR and
-        miss-queue headroom, and L2 hand-off run per line over hoisted
-        state instead of N :meth:`prefetch` round trips.  The observable
-        sequence — counters, drop events, MSHR/NoC state — is identical to
-        N sequential ``prefetch()`` calls (the retained scalar oracle),
-        pinned by property tests.  With a fault injector armed it delegates
-        to the scalar path outright so chaos RNG draws keep their order.
-        """
-        if self._faults is not None:
-            return [self.prefetch(line, now) for line in line_addrs]
-        self._commit_fills(now)
-        store_get = self._store._flat.get
-        side = self._side_buffer
-        mshr = self._mshr
-        mshr_get = mshr._inflight.get
-        inflight_file = mshr._inflight
-        fill_heap = mshr._fill_heap
-        stats_pf = self.stats.prefetch
-        obs = self._obs
-        observing = obs.enabled
-        miss_queue = self._miss_queue
-        mshr_cap = max(1, (self.config.mshr_entries * 3) // 4)
-        queue_cap = max(1, self.config.miss_queue_depth - 1)
-        sent: List[bool] = []
-        for line_addr in line_addrs:
-            # The scalar path re-commits fills before every line; only the
-            # heap head can make that a non-no-op.
-            if fill_heap and fill_heap[0][0] <= now:
-                self._commit_fills(now)
-            resident = store_get(line_addr)
-            if resident is None and side is not None:
-                resident = side.lookup(line_addr)
-            if resident is not None:
-                resident.predicted = True
-                stats_pf.dropped_duplicate += 1
-                if observing:
-                    obs.emit(
-                        PrefetchDropEvent(
-                            cycle=now, sm_id=self._sm_id,
-                            line_addr=line_addr, reason="duplicate",
-                        )
-                    )
-                sent.append(False)
-                continue
-            inflight = mshr_get(line_addr)
-            if inflight is not None:
-                inflight.predicted = True
-                stats_pf.dropped_duplicate += 1
-                if observing:
-                    obs.emit(
-                        PrefetchDropEvent(
-                            cycle=now, sm_id=self._sm_id,
-                            line_addr=line_addr, reason="duplicate",
-                        )
-                    )
-                sent.append(False)
-                continue
-            while miss_queue and miss_queue[0] <= now:
-                miss_queue.popleft()
-            if len(inflight_file) >= mshr_cap or len(miss_queue) >= queue_cap:
-                stats_pf.dropped_throttled += 1
-                if observing:
-                    obs.emit(
-                        PrefetchDropEvent(
-                            cycle=now, sm_id=self._sm_id,
-                            line_addr=line_addr, reason="headroom",
-                        )
-                    )
-                sent.append(False)
-                continue
-            fill_time = self._send_to_l2(
-                line_addr, now, is_write=False, is_prefetch=True
-            )
-            mshr.allocate(line_addr, fill_time, is_prefetch=True)
-            stats_pf.issued += 1
-            sent.append(True)
-        return sent
-
     def prefetch_trigger(
         self,
         vectors: List[List[int]],

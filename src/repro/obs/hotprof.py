@@ -9,7 +9,7 @@ docs/PERFORMANCE.md, "The batched hot path"):
 * ``table-walk`` — the learner side: ``observe`` / ``observe_raw``
   (Head-table update, Tail CAM search, chain walk, request generation);
 * ``issue``      — the L1 prefetch admission path
-  (``prefetch_trigger`` / ``prefetch_batch`` / ``prefetch``);
+  (``prefetch_trigger`` / ``prefetch``);
 * ``coalesce``   — warp-access-to-line flattening
   (``coalesce`` / ``coalesce_lines`` / ``coalesce_sectors``);
 * ``cache``      — the demand side (``demand_load`` / ``demand_store``).
@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Tuple
 #: Attribution bucket -> the (component, method) pairs that feed it.
 HOT_BUCKETS: Tuple[Tuple[str, str], ...] = (
     ("table-walk", "prefetcher.observe / observe_raw"),
-    ("issue", "l1.prefetch_trigger / prefetch_batch / prefetch"),
+    ("issue", "l1.prefetch_trigger / prefetch"),
     ("coalesce", "sm.coalesce / coalesce_lines / coalesce_sectors"),
     ("cache", "l1.demand_load / demand_store"),
 )
@@ -183,7 +183,6 @@ def hot_profile_run(
         if core._pf_observe_raw is not None:
             core._pf_observe_raw = core.prefetcher.observe_raw
         _wrap(core.l1, "prefetch_trigger", issue)
-        _wrap(core.l1, "prefetch_batch", issue)
         _wrap(core.l1, "prefetch", issue)
         _wrap(core.l1, "demand_load", cache)
         _wrap(core.l1, "demand_store", cache)

@@ -75,37 +75,26 @@ class ServeConfig:
         )
 
 
-def peek_predictions(learner: SnakePrefetcher,
-                     event: AccessEvent) -> List[int]:
+def peek_predictions(learner: SnakePrefetcher, warp: int, pc: int,
+                     addr: int, app: int = 0, now: int = 0) -> List[int]:
     """Read-only prediction from a Snake learner.
 
-    Mirrors :meth:`SnakePrefetcher.observe`'s generation half (chains,
-    intra-warp, inter-warp, chain-first dedup) without the detection
-    half.  The Tail CAM's lookup counter is restored afterwards because
-    it is serialized into the snapshot — a predict must not move the
-    state digest.
+    Runs :meth:`SnakePrefetcher.observe_raw`'s generation half
+    (``_generate_raw``: chains, intra-warp, inter-warp, chain-first dedup)
+    without the detection half.  The Tail CAM's lookup counter is
+    restored afterwards because it is serialized into the snapshot — a
+    predict must not move the state digest.
     """
-    if learner.per_app and event.app_id not in learner._app_tables:
+    if learner.per_app and app not in learner._app_tables:
         return []
-    learner._select_app(event.app_id)
-    saved = learner.tail.lookups
+    learner._select_app(app)
+    tail = learner.tail
+    saved = tail.lookups
     try:
-        requests = []
-        if learner.use_chains:
-            requests.extend(learner._chain_requests(event))
-        if learner.use_intra:
-            requests.extend(learner._intra_requests(event))
-        if learner.use_inter_warp:
-            requests.extend(learner._inter_warp_requests(event))
+        pairs = learner._generate_raw(warp, pc, addr, app, now)
     finally:
-        learner.tail.lookups = saved
-    seen = set()
-    out: List[int] = []
-    for request in requests:
-        if request.base_addr not in seen:
-            seen.add(request.base_addr)
-            out.append(request.base_addr)
-    return out
+        tail.lookups = saved
+    return [target for target, _ in pairs]
 
 
 class StrideFallback:
@@ -383,10 +372,6 @@ class ServiceState:
         shard_index = pc % self.config.shards
         breaker = session.breakers[shard_index]
         result = ApplyResult(shard=shard_index)
-        event = AccessEvent(
-            warp_id=warp, cta_id=0, pc=pc, base_addr=addr, line_addr=addr,
-            now=self.seq, app_id=app,
-        )
         learner_predictions: List[int] = []
         # The half-open trial opens here and MUST be settled by on_ok /
         # on_fault on every path (SL703); nothing that can raise may sit
@@ -396,9 +381,19 @@ class ServiceState:
         )
         try:
             learner = session.shards[shard_index]
-            learner_predictions = [
-                r.base_addr for r in learner.observe(event)
-            ]
+            if type(learner) is SnakePrefetcher:
+                learner_predictions = [
+                    target for target, _ in
+                    learner.observe_raw(warp, pc, addr, app, False, self.seq)
+                ]
+            else:
+                # A learner planted by a test keeps the generic lane.
+                learner_predictions = [
+                    r.base_addr for r in learner.observe(AccessEvent(
+                        warp_id=warp, cta_id=0, pc=pc, base_addr=addr,
+                        line_addr=addr, now=self.seq, app_id=app,
+                    ))
+                ]
             if session.applied % self.config.audit_every == 0:
                 violations: List[str] = []
                 for app_id, head, tail in learner.tables():
@@ -497,15 +492,11 @@ class ServiceState:
         :meth:`apply_batch` for the conditions that make this exactly
         equivalent to sequential :meth:`apply` calls)."""
         base_seq = self.seq
-        events = [
-            AccessEvent(
-                warp_id=warp, cta_id=0, pc=pc, base_addr=addr,
-                line_addr=addr, now=base_seq + k + 1, app_id=app,
-            )
-            for k, (_, warp, pc, addr, app) in enumerate(records)
-        ]
-        prediction_lists = session.shards[shard_index].observe_batch(events)
         count = len(records)
+        _, warps, pcs, addrs, apps = zip(*records)
+        prediction_lists = session.shards[shard_index].observe_batch(
+            warps, pcs, addrs, apps, range(base_seq + 1, base_seq + count + 1)
+        )
         self.seq = base_seq + count
         session.last_active = self.seq
         session.applied += count
@@ -520,8 +511,7 @@ class ServiceState:
         ):
             fallback_update(warp, pc, addr)
             results.append(ApplyResult(
-                predictions=[r.base_addr for r in predictions],
-                shard=shard_index,
+                predictions=predictions, shard=shard_index,
             ))
         return results
 
@@ -539,11 +529,9 @@ class ServiceState:
         breaker = session.breakers[shard_index]
         if breaker.would_answer_from_learner(self.seq,
                                              self.config.breaker_cooldown):
-            event = AccessEvent(
-                warp_id=warp, cta_id=0, pc=pc, base_addr=addr, line_addr=addr,
-                now=self.seq, app_id=app,
-            )
-            return peek_predictions(session.shards[shard_index], event), False
+            return peek_predictions(
+                session.shards[shard_index], warp, pc, addr, app, self.seq
+            ), False
         return session.fallback.predict(warp, pc, addr), True
 
     def stats(self) -> Dict[str, Any]:

@@ -105,7 +105,10 @@ class TestLearnerParity:
         events = _stream(*params)
         raw, scalar = _make_pair(tail_entries, 8)
         for event in events:
-            pairs = raw.observe_raw(event)
+            pairs = raw.observe_raw(
+                event.warp_id, event.pc, event.base_addr, event.app_id,
+                event.divergent, event.now,
+            )
             want = [(r.base_addr, r.depth) for r in scalar.observe(event)]
             assert pairs == want
         assert _table_state(raw) == _table_state(scalar)
@@ -115,21 +118,37 @@ class TestLearnerParity:
            chunks=st.integers(0, 2**31))
     def test_observe_batch_matches_sequential(self, params, tail_entries,
                                               chunks):
-        """Randomly chunked observe_batch == one observe per event."""
+        """Randomly chunked observe_batch == one observe per event.
+        The batch lane takes uniform loads only, so each divergent load
+        ends a chunk and goes through observe_raw on its own."""
         events = _stream(*params)
         grouped, sequential = _make_pair(tail_entries, 8)
         rng = random.Random(chunks)
         want = [
-            [(r.base_addr, r.depth) for r in sequential.observe(e)]
-            for e in events
+            [r.base_addr for r in sequential.observe(e)] for e in events
         ]
         got = []
         i = 0
         while i < len(events):
+            if events[i].divergent:
+                e = events[i]
+                pairs = grouped.observe_raw(
+                    e.warp_id, e.pc, e.base_addr, e.app_id, True, e.now
+                )
+                got.append([addr for addr, _ in pairs])
+                i += 1
+                continue
             k = rng.randrange(1, 24)
-            for requests in grouped.observe_batch(events[i:i + k]):
-                got.append([(r.base_addr, r.depth) for r in requests])
-            i += k
+            chunk = events[i:i + k]
+            chunk = chunk[:next(
+                (j for j, e in enumerate(chunk) if e.divergent), len(chunk)
+            )]
+            got.extend(grouped.observe_batch(
+                [e.warp_id for e in chunk], [e.pc for e in chunk],
+                [e.base_addr for e in chunk], [e.app_id for e in chunk],
+                [e.now for e in chunk],
+            ))
+            i += len(chunk)
         assert got == want
         assert grouped.tail.lookups == sequential.tail.lookups
         assert _table_state(grouped) == _table_state(sequential)
@@ -148,8 +167,7 @@ class TestLearnerParity:
         one, batch = HeadTable(capacity), HeadTable(capacity)
         want = []
         for w, p, a in zip(warps, pcs, addrs):
-            t = one.update(w, p, a)
-            want.append(None if t is None else (t.pc1, t.stride))
+            want.append(one.update(w, p, a))
         got = []
         i = 0
         while i < n:
@@ -224,6 +242,86 @@ class TestLearnerParity:
                         for r in learner.observe(event)]
                 assert got == want
             assert clone.snapshot() == learner.snapshot()
+
+
+def _raw_stream(seed, length, pcs, warps, apps):
+    """Raw ``(warp, pc, addr, app, divergent, now)`` records whose strides
+    may be negative and whose addresses start near 0, so chain, intra-warp
+    and inter-warp targets regularly fall below 0 and must be clipped."""
+    rng = random.Random(seed)
+    pc_list = [0x100 + 4 * i for i in range(pcs)]
+    strides = {pc: rng.choice((-96, -64, -32, 32, 64, 160)) for pc in pc_list}
+    cursors = {}
+    records = []
+    for k in range(length):
+        warp = rng.randrange(warps)
+        pc = pc_list[(k // max(1, warps)) % pcs] if k % 3 else rng.choice(pc_list)
+        app = rng.randrange(apps)
+        key = (app, warp, pc)
+        addr = cursors.get(key, rng.randrange(0, 256))
+        nxt = addr + strides[pc]
+        cursors[key] = nxt if nxt >= 0 else rng.randrange(0, 256)
+        records.append((warp, pc, addr, app, rng.random() < 0.08, k))
+    return records
+
+
+RAW_STREAMS = st.tuples(
+    st.integers(0, 2**31),                      # seed
+    st.integers(32, 300),                        # length
+    st.integers(2, 8),                           # distinct pcs
+    st.integers(1, 10),                          # warps
+    st.integers(1, 3),                           # apps
+)
+
+
+class TestRawLaneParity:
+    @settings(max_examples=40, deadline=None)
+    @given(params=RAW_STREAMS, tail_entries=st.integers(2, 20),
+           per_app=st.booleans(), fault_seed=st.integers(0, 2**31))
+    def test_raw_lane_adapter_and_oracle_agree(self, params, tail_entries,
+                                               per_app, fault_seed):
+        """``observe_raw`` (the production lane), ``observe(event)`` (the
+        boxing adapter) and the ``batched=False`` scalar oracle: identical
+        pairs, ``lookups`` and snapshots — over divergent loads, per-app
+        tables, near-0 addresses, small-Tail eviction churn and in-field
+        fault corruption applied identically to all three."""
+        kwargs = dict(head_entries=6, tail_entries=tail_entries,
+                      train_threshold=2, max_chain_depth=6, per_app=per_app)
+        raw = SnakePrefetcher(**kwargs)
+        adapter = SnakePrefetcher(**kwargs)
+        oracle = SnakePrefetcher(batched=False, **kwargs)
+        learners = (raw, adapter, oracle)
+        rng = random.Random(fault_seed)
+        for warp, pc, addr, app, divergent, now in _raw_stream(*params):
+            if rng.random() < 0.05:
+                tables = [t for _, _, t in raw.tables() if len(t)]
+                if tables:
+                    which = rng.randrange(len(tables))
+                    index = rng.randrange(len(tables[which]))
+                    mode = rng.randrange(3)
+                    scrambled = rng.getrandbits(64)
+                    for learner in learners:
+                        tail = [t for _, _, t in learner.tables() if len(t)][which]
+                        entry = tail.entries()[index]
+                        if mode == 0:
+                            entry.inter_thread_stride *= -2
+                        elif mode == 1:
+                            entry.warp_vector = scrambled
+                        else:
+                            entry.t1 = TrainState.TRAINED
+                        tail.mark_dirty()
+            event = AccessEvent(
+                warp_id=warp, cta_id=0, pc=pc, base_addr=addr,
+                line_addr=addr, now=now, divergent=divergent, app_id=app,
+            )
+            got = raw.observe_raw(warp, pc, addr, app, divergent, now)
+            boxed = [(r.base_addr, r.depth) for r in adapter.observe(event)]
+            want = [(r.base_addr, r.depth) for r in oracle.observe(event)]
+            assert got == boxed == want
+            assert all(target >= 0 for target, _ in got)
+        lookups = [[t.lookups for _, _, t in l.tables()] for l in learners]
+        assert lookups[0] == lookups[1] == lookups[2]
+        assert raw.snapshot() == adapter.snapshot() == oracle.snapshot()
 
 
 def _small_kernel(seed):

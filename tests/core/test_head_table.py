@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.head_table import HeadTable, Transition
+from repro.core.head_table import HeadTable
 
 
 class TestUpdate:
@@ -14,20 +14,19 @@ class TestUpdate:
     def test_second_load_yields_transition(self):
         head = HeadTable()
         head.update(0, 0x10, 1000)
-        transition = head.update(0, 0x20, 1400)
-        assert transition == Transition(warp_id=0, pc1=0x10, pc2=0x20, stride=400)
+        assert head.update(0, 0x20, 1400) == (0x10, 400)  # (pc1, stride)
 
     def test_negative_stride(self):
         head = HeadTable()
         head.update(0, 0x10, 1000)
-        assert head.update(0, 0x20, 600).stride == -400
+        assert head.update(0, 0x20, 600) == (0x10, -400)
 
     def test_warps_tracked_independently(self):
         head = HeadTable()
         head.update(0, 0x10, 1000)
         head.update(1, 0x10, 9000)
-        assert head.update(0, 0x20, 1100).stride == 100
-        assert head.update(1, 0x20, 9200).stride == 200
+        assert head.update(0, 0x20, 1100) == (0x10, 100)
+        assert head.update(1, 0x20, 9200) == (0x10, 200)
 
     def test_lookup(self):
         head = HeadTable()
