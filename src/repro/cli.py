@@ -24,9 +24,6 @@ Usage::
                                      # transport faults, SIGKILL+--resume;
                                      # results must be byte-identical
 
-    snake-repro bench                # simulator-performance suite
-    snake-repro bench --quick --check   # CI regression gate vs BENCH_*.json
-
     snake-repro lint --baseline      # simulator-aware static analysis
     snake-repro lint --rule SL101    # one rule; --json for CI tooling
 
@@ -45,10 +42,8 @@ attached — see ``docs/OBSERVABILITY.md`` for the full walkthrough.
 :mod:`repro.runner`; ``chaos`` runs seeded fault plans through the
 simulator with the conservation sanitizer armed and asserts the
 demand-visible outcome matches a fault-free run — see
-``docs/ROBUSTNESS.md``.  ``bench`` measures the simulator itself (wall
-time, cycles/sec, event-core speedup vs the ``--legacy-loop`` reference)
-and gates regressions against the committed ``BENCH_<date>.json``
-baseline — see ``docs/PERFORMANCE.md``.
+``docs/ROBUSTNESS.md``.  The simulator's own speed is measured by
+``python -m perfbench`` — see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -216,11 +211,6 @@ def _obs_parser(command: str) -> argparse.ArgumentParser:
     parser.add_argument(
         "--top", type=int, default=20, help="rows per metrics table"
     )
-    parser.add_argument(
-        "--legacy-loop", action="store_true",
-        help="run on the reference step-every-cycle loop instead of the "
-        "event-driven core (differential testing; stats must be identical)",
-    )
     if command == "trace":
         parser.add_argument(
             "--out", metavar="PATH", default=None,
@@ -247,7 +237,7 @@ def _run_obs_command(command: str, argv) -> int:
         try:
             profile = hot_profile_run(
                 args.app, mechanism=args.mechanism, scale=args.scale,
-                seed=args.seed, legacy_loop=args.legacy_loop,
+                seed=args.seed,
             )
         except (KeyError, ValueError) as exc:
             print("error: %s" % exc, file=sys.stderr)
@@ -259,16 +249,12 @@ def _run_obs_command(command: str, argv) -> int:
         if args.bucket is not None
         else GPUConfig().telemetry_bucket_cycles
     )
-    config = (
-        GPUConfig.scaled().with_(legacy_loop=True) if args.legacy_loop else None
-    )
     try:
         result = traced_run(
             args.app,
             mechanism=args.mechanism,
             scale=args.scale,
             seed=args.seed,
-            config=config,
             bucket_cycles=bucket,
             chrome=command == "trace",
         )
@@ -865,107 +851,6 @@ def _run_chaos_command(argv) -> int:
     return 0 if not divergences and not violations else 3
 
 
-def _bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="snake-repro bench",
-        description="Measure the simulator itself: run the pinned suite on "
-        "the event-driven core and the --legacy-loop reference, record "
-        "wall time, cycles/sec, peak RSS and speedup_vs_legacy in a "
-        "schema-versioned BENCH_<date>.json, and (with --check) gate "
-        "against the committed baseline.  See docs/PERFORMANCE.md.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="run only the CI subset (same scales, fewer cases)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="payload path (default BENCH_<date>.json in the current dir)",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true",
-        help="print the table without writing a payload file",
-    )
-    parser.add_argument(
-        "--check", nargs="?", metavar="BASELINE", const="", default=None,
-        help="gate against a committed payload (default: the newest "
-        "BENCH_*.json here other than the one just written); exits 3 "
-        "on regression",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=None, metavar="F",
-        help="allowed fractional drop in speedup_vs_legacy (default 0.15)",
-    )
-    parser.add_argument(
-        "--legacy-loop", action="store_true",
-        help="measure the reference loop as primary instead (trajectory "
-        "of the pre-refactor core; --check refuses such payloads)",
-    )
-    return parser
-
-
-def _run_bench_command(argv) -> int:
-    from repro.bench.schema import DEFAULT_TOLERANCE, compare_payloads
-    from repro.bench.suite import (
-        find_baseline,
-        load_payload,
-        render_table,
-        run_suite,
-        write_payload,
-    )
-
-    args = _bench_parser().parse_args(argv)
-    loop = "legacy" if args.legacy_loop else "event"
-    try:
-        payload = run_suite(quick=args.quick, loop=loop)
-    except (KeyError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    print(render_table(payload))
-    written = None
-    if not args.no_write:
-        written = write_payload(payload, out=args.out)
-        print("payload written to %s" % written)
-    diverged = [c["name"] for c in payload["cases"] if not c["stats_match"]]
-    if diverged:
-        print(
-            "error: event/legacy stats diverged for %s" % ", ".join(diverged),
-            file=sys.stderr,
-        )
-        return 3
-    if args.check is None:
-        return 0
-
-    if args.check:
-        baseline_path = args.check
-    else:
-        found = find_baseline(exclude=written)
-        if found is None:
-            print(
-                "error: --check found no committed BENCH_*.json baseline",
-                file=sys.stderr,
-            )
-            return 2
-        baseline_path = str(found)
-    try:
-        baseline = load_payload(baseline_path)
-    except (OSError, ValueError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    regressions = compare_payloads(payload, baseline, tolerance=tolerance)
-    if regressions:
-        print("bench gate vs %s FAILED:" % baseline_path, file=sys.stderr)
-        for line in regressions:
-            print("  " + line, file=sys.stderr)
-        return 3
-    print(
-        "bench gate vs %s passed (%d%% tolerance)"
-        % (baseline_path, round(tolerance * 100))
-    )
-    return 0
-
-
 def _serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snake-repro serve",
@@ -1141,8 +1026,6 @@ def main(argv=None) -> int:
         return _run_sweep_command(argv[1:])
     if argv and argv[0] == "chaos":
         return _run_chaos_command(argv[1:])
-    if argv and argv[0] == "bench":
-        return _run_bench_command(argv[1:])
     if argv and argv[0] == "serve":
         return _run_serve_command(argv[1:])
     if argv and argv[0] == "lint":
@@ -1157,7 +1040,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiment",
         help="experiment id (fig3..fig25, table3), 'list', 'all', "
-        "'trace <app>', 'profile <app>', 'bench' or 'lint'",
+        "'trace <app>', 'profile <app>' or 'lint'",
     )
     parser.add_argument("--scale", type=float, default=1.0, help="trace-size multiplier")
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
@@ -1169,8 +1052,8 @@ def main(argv=None) -> int:
         print(
             "\n".join(
                 sorted(EXPERIMENTS)
-                + ["bench", "chaos", "claims", "lint", "profile", "serve",
-                   "sweep", "trace"]
+                + ["chaos", "claims", "lint", "profile", "serve", "sweep",
+                   "trace"]
             )
         )
         return 0

@@ -14,12 +14,7 @@ which models the same storage bound.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
-
-#: int64 magnitudes below this cannot overflow when subtracted pairwise.
-_SAFE_MAG = 1 << 62
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: Schema version carried by every table snapshot (bumped on layout change).
 SNAPSHOT_VERSION = 1
@@ -50,68 +45,6 @@ class HeadTable:
         if previous is None:
             return None
         return previous[0], addr - previous[1]
-
-    def update_batch(
-        self,
-        warp_ids: Sequence[int],
-        pcs: Sequence[int],
-        addrs: Sequence[int],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Record a batch of loads in one call (vectorized stride updates).
-
-        Accepts aligned sequences, applies every update in input order (LRU
-        eviction included — slot ``i`` sees the table exactly as N
-        sequential :meth:`update` calls would), and returns
-        ``(pc1s, strides, valid)`` arrays: per slot, the transition from the
-        warp's previous load, with ``valid[i] == False`` marking a first
-        load or post-eviction slot (where ``update`` returns None).  The
-        stride column is computed as one vectorized subtraction;
-        equivalence with the scalar path is pinned by property tests.
-
-        Raises before any mutation if the inputs cannot be represented as
-        int64 — callers fall back to sequential :meth:`update`.
-        """
-        warp_arr = np.asarray(warp_ids, dtype=np.int64)
-        pc_arr = np.asarray(pcs, dtype=np.int64)
-        addr_arr = np.asarray(addrs, dtype=np.int64)
-        n = int(warp_arr.shape[0])
-        self.accesses += n
-        prev_pc_list = [0] * n
-        prev_addr_list = [0] * n
-        valid = np.zeros(n, dtype=bool)
-        rows = self._rows
-        capacity = self.capacity
-        warps = warp_arr.tolist()
-        pcs_l = pc_arr.tolist()
-        addrs_l = addr_arr.tolist()
-        for i in range(n):
-            previous = rows.pop(warps[i], None)
-            rows[warps[i]] = (pcs_l[i], addrs_l[i])
-            if len(rows) > capacity:
-                rows.popitem(last=False)  # LRU warp falls out
-            if previous is not None:
-                prev_pc_list[i] = previous[0]
-                prev_addr_list[i] = previous[1]
-                valid[i] = True
-        try:
-            # Rows written before this table adopted int64 batching may hold
-            # arbitrarily wide python ints; those overflow the fast path and
-            # drop to exact object arithmetic below.
-            prev_pc = np.array(prev_pc_list, dtype=np.int64)
-            prev_addr = np.array(prev_addr_list, dtype=np.int64)
-            if (
-                (np.abs(prev_addr) < _SAFE_MAG).all()
-                and (np.abs(addr_arr) < _SAFE_MAG).all()
-            ):
-                strides = addr_arr - prev_addr
-            else:
-                raise OverflowError
-        except OverflowError:
-            prev_pc = np.array(prev_pc_list, dtype=object)
-            strides = np.array(
-                [a - p for a, p in zip(addrs_l, prev_addr_list)], dtype=object
-            )
-        return prev_pc, strides, valid
 
     def lookup(self, warp_id: int) -> Optional[Tuple[int, int]]:
         return self._rows.get(warp_id)

@@ -18,14 +18,14 @@ only the chains; decoupling/throttling are composed at the GPU level (see
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.obs.events import ChainWalkEvent
 from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
 from repro.prefetch.stride import ConsensusTracker
 
 from .head_table import HeadTable, SNAPSHOT_VERSION
-from .tail_table import TailEntry, TailTable, TrainState
+from .tail_table import TailTable
 
 
 class SnakePrefetcher(Prefetcher):
@@ -46,7 +46,6 @@ class SnakePrefetcher(Prefetcher):
         use_inter_warp: bool = True,
         eviction: str = "lru+pop",
         per_app: bool = False,
-        batched: bool = True,
     ) -> None:
         if max_chain_depth < 1:
             raise ValueError("max_chain_depth must be >= 1")
@@ -73,12 +72,6 @@ class SnakePrefetcher(Prefetcher):
         self.use_intra = use_intra
         self.use_inter_warp = use_inter_warp
         self.train_threshold = train_threshold
-        # Batched hot path: chain generation goes through the Tail table's
-        # column-mirror walk (``TailTable.walk_raw``); False selects the
-        # scalar reference walk, retained as the differential oracle
-        # (``GPUConfig.batched_tables``).  A strategy flag, not learner
-        # state — deliberately absent from snapshots.
-        self.batched = batched
 
         # Intra-warp detection: last address per (app, warp, pc).
         self._intra_last: Dict[Tuple[int, int, int], int] = {}
@@ -119,22 +112,13 @@ class SnakePrefetcher(Prefetcher):
     def _detect(
         self, warp_id: int, pc: int, base_addr: int, app_id: int
     ) -> None:
-        transition = self.head.update(warp_id, pc, base_addr)
-        if transition is None:
-            self._train_tail(warp_id, pc, base_addr, app_id, 0, None)
-        else:
-            self._train_tail(warp_id, pc, base_addr, app_id, *transition)
-
-    def _train_tail(
-        self, warp_id: int, pc: int, base_addr: int, app_id: int,
-        pc1: int, stride: Optional[int],
-    ) -> None:
-        """Tail-side training for one access, given the Head-table
-        transition ``(pc1, stride)`` (``stride is None`` when the warp had
-        no previous load)."""
+        """Train the tables on one access: the Head table's transition
+        from the warp's previous load feeds the Tail's chain links, then
+        the intra-warp and inter-warp stride detectors run."""
         tail = self.tail
-        if stride is not None and stride != 0:
-            tail.record(warp_id, pc1, pc, stride)
+        transition = self.head.update(warp_id, pc, base_addr)
+        if transition is not None and transition[1] != 0:
+            tail.record(warp_id, transition[0], pc, transition[1])
 
         if self.use_intra:
             key = (app_id, warp_id, pc)
@@ -163,117 +147,20 @@ class SnakePrefetcher(Prefetcher):
                 del slots[0]
 
     # ------------------------------------------------------------------
-    # Prefetch generation (§3.2) — scalar reference (``batched=False``)
-
-    def _chain_requests(self, event: AccessEvent) -> List[PrefetchRequest]:
-        """Walk the chain starting at the current PC (Fig 13).
-
-        Different warp groups may have confirmed *different* strides for the
-        same PC pair (§3.4 — e.g. a tiled kernel's in-tile step and its
-        tile-boundary jump), so every trained link out of the triggering PC
-        issues a depth-1 request; the walk then continues transitively along
-        the best-confirmed link only.
-        """
-        requests: List[PrefetchRequest] = []
-        for entry in self.tail.find(event.pc):
-            if not entry.t1.prefetchable:
-                continue
-            target = event.base_addr + entry.inter_thread_stride
-            if target >= 0:
-                requests.append(PrefetchRequest(base_addr=target, depth=1))
-
-        pc, addr = event.pc, event.base_addr
-        visited = set()
-        effective_depth = min(self.max_chain_depth, self._depth_limit)
-        for depth in range(1, effective_depth + 1):
-            entry = self._prefetchable_link(pc, event.warp_id)
-            if entry is None or (entry.pc1, entry.pc2) in visited:
-                break
-            visited.add((entry.pc1, entry.pc2))
-            addr = addr + entry.inter_thread_stride
-            if addr < 0:
-                break
-            requests.append(PrefetchRequest(base_addr=addr, depth=depth))
-            pc = entry.pc2
-        return requests
-
-    def _prefetchable_link(self, pc: int, warp_id: int) -> Optional[TailEntry]:
-        """The best trained link out of ``pc``: once promoted, a link serves
-        *all* future warps (§3.2).  Among competing links for the same PC,
-        prefer one this warp confirmed, then the most-confirmed one."""
-        best = None
-        best_key = None
-        for entry in self.tail.find(pc):
-            if not entry.t1.prefetchable:
-                continue
-            key = (entry.has_warp(warp_id), entry.popcount)
-            if best is None or key > best_key:
-                best, best_key = entry, key
-        return best
-
-    def _intra_requests(self, event: AccessEvent) -> List[PrefetchRequest]:
-        for entry in self.tail.find(event.pc):
-            if entry.t2.prefetchable and entry.intra_stride:
-                return [
-                    PrefetchRequest(base_addr=event.base_addr + k * entry.intra_stride, depth=k)
-                    for k in range(1, self.intra_degree + 1)
-                    if event.base_addr + k * entry.intra_stride >= 0
-                ]
-        return []
-
-    def _inter_warp_requests(self, event: AccessEvent) -> List[PrefetchRequest]:
-        tracker = self._iw_consensus.get((event.app_id, event.pc))
-        if tracker is None or tracker.trained_stride is None:
-            return []
-        stride = tracker.trained_stride
-        requests = []
-        for k in range(1, self.inter_warp_degree + 1):
-            target = event.base_addr + k * stride
-            if target >= 0:
-                requests.append(PrefetchRequest(base_addr=target, depth=k))
-        return requests
-
-    def _generate(self, event: AccessEvent) -> List[PrefetchRequest]:
-        """Scalar reference generation for one (already trained-on)
-        access: the differential oracle :meth:`_generate_raw` is pinned
-        to."""
-        requests: List[PrefetchRequest] = []
-        if self.use_chains:
-            requests.extend(self._chain_requests(event))
-        if self.use_intra:
-            requests.extend(self._intra_requests(event))
-        if self.use_inter_warp:
-            requests.extend(self._inter_warp_requests(event))
-
-        # Inter-thread first (higher accuracy, §3.4), then de-duplicate.
-        seen = set()
-        unique: List[PrefetchRequest] = []
-        for request in requests:
-            if request.base_addr not in seen:
-                seen.add(request.base_addr)
-                unique.append(request)
-        if unique and self.obs.enabled:
-            self.obs.emit(
-                ChainWalkEvent(
-                    cycle=event.now,
-                    sm_id=self.obs_sm_id,
-                    warp_id=event.warp_id,
-                    pc=event.pc,
-                    depth=max(r.depth for r in unique),
-                    requests=len(unique),
-                )
-            )
-        return unique
-
-    # ------------------------------------------------------------------
-    # Prefetch generation (§3.2) — the production lane
+    # Prefetch generation (§3.2)
 
     def _generate_raw(
         self, warp_id: int, pc: int, base_addr: int, app_id: int, now: int
     ) -> List[Tuple[int, int]]:
         """Deduplicated ``(base_addr, depth)`` pairs for one trained-on
-        access.  Ordering, deduplication, ``lookups`` accounting and
-        telemetry match the scalar :meth:`_generate` exactly."""
+        access: chain links first (§3.4 — inter-thread strides are the
+        most accurate), then intra-warp, then inter-warp strides.  Every
+        trained link out of ``pc`` issues a depth-1 request, and the walk
+        continues transitively along the best-confirmed link only
+        (:meth:`TailTable.walk_raw`); targets below 0 are dropped.
+        ``tests/core/reference_snake.py`` keeps the one-``find``-per-hop
+        walk this must match, ``lookups`` accounting and telemetry
+        included."""
         pairs: List[Tuple[int, int]]
         if self.use_chains:
             pairs = self.tail.walk_raw(
@@ -336,11 +223,9 @@ class SnakePrefetcher(Prefetcher):
         """Digest one access given as plain ints; return its deduplicated
         ``(base_addr, depth)`` prefetch pairs.
 
-        The production lane: the SM and the serve core call it with the
-        load's fields, so no :class:`AccessEvent` or
-        :class:`PrefetchRequest` is built.  ``now`` only stamps telemetry.
-        With ``batched=False`` generation runs the scalar oracle
-        (:meth:`_generate`) and its requests are unboxed.
+        The SM and the serve core call it with the load's fields, so no
+        :class:`AccessEvent` or :class:`PrefetchRequest` is built.
+        ``now`` only stamps telemetry.
         """
         if self.per_app:
             self._select_app(app_id)
@@ -352,15 +237,7 @@ class SnakePrefetcher(Prefetcher):
             self.head.update(warp_id, pc, base_addr)
             return []
         self._detect(warp_id, pc, base_addr, app_id)
-        if self.batched:
-            return self._generate_raw(warp_id, pc, base_addr, app_id, now)
-        return [
-            (r.base_addr, r.depth)
-            for r in self._generate(AccessEvent(
-                warp_id=warp_id, cta_id=0, pc=pc, base_addr=base_addr,
-                line_addr=base_addr, now=now, app_id=app_id,
-            ))
-        ]
+        return self._generate_raw(warp_id, pc, base_addr, app_id, now)
 
     def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
         """The generic :class:`Prefetcher` adapter: :meth:`observe_raw`
@@ -371,52 +248,6 @@ class SnakePrefetcher(Prefetcher):
                 event.warp_id, event.pc, event.base_addr, event.app_id,
                 event.divergent, event.now,
             )
-        ]
-
-    def observe_batch(
-        self,
-        warp_ids: Sequence[int],
-        pcs: Sequence[int],
-        addrs: Sequence[int],
-        app_ids: Sequence[int],
-        nows: Sequence[int],
-    ) -> List[List[int]]:
-        """Train and predict for a batch of uniform (non-divergent)
-        accesses given as aligned sequences; returns each access's
-        predicted base addresses.
-
-        The Head-table updates for the entire batch run as one vectorized
-        ``update_batch`` call; Tail training and chain walks then proceed
-        per access in input order, so the learner state, ``lookups``
-        accounting, and every prediction list are identical to N sequential
-        :meth:`observe_raw` calls (the serve digest-parity property).
-        Falls back to the sequential lane for per-app table routing, the
-        scalar oracle, or inputs the int64 fast path cannot represent.
-        """
-        if self.batched and not self.per_app:
-            try:
-                pc1s, strides, valid = self.head.update_batch(
-                    warp_ids, pcs, addrs
-                )
-            except OverflowError:
-                pass
-            else:
-                results: List[List[int]] = []
-                for warp_id, pc, addr, app_id, now, ok, pc1, stride in zip(
-                    warp_ids, pcs, addrs, app_ids, nows,
-                    valid.tolist(), pc1s.tolist(), strides.tolist(),
-                ):
-                    self._train_tail(
-                        warp_id, pc, addr, app_id, pc1, stride if ok else None
-                    )
-                    results.append([
-                        target for target, _ in
-                        self._generate_raw(warp_id, pc, addr, app_id, now)
-                    ])
-                return results
-        return [
-            [target for target, _ in self.observe_raw(w, p, a, app, False, now)]
-            for w, p, a, app, now in zip(warp_ids, pcs, addrs, app_ids, nows)
         ]
 
     def tables(self) -> List[Tuple[int, HeadTable, TailTable]]:

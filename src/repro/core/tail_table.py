@@ -226,17 +226,8 @@ class TailTable:
             result.append(entry)
         return result
 
-    def chain_next(self, pc: int, warp_id: int) -> Optional[TailEntry]:
-        """The trained link whose PC1 is ``pc`` and whose warp vector includes
-        ``warp_id`` — used when walking a chain deeper (Fig 13)."""
-        self.lookups += 1
-        for entry in self._pc_index.get(pc, ()):
-            if entry.t1.prefetchable and entry.has_warp(warp_id):
-                return entry
-        return None
-
     # ------------------------------------------------------------------
-    # Batched chain walk (Fig 13 in one call)
+    # Chain walk (Fig 13 in one call)
 
     def walk_raw(
         self, pc: int, base_addr: int, warp_id: int, depth_limit: int
@@ -246,10 +237,9 @@ class TailTable:
 
         Raw-arguments API (mirrors ``coalesce_lines``): no event object, no
         per-hop CAM calls.  The result — including request order and the
-        ``lookups`` counter accounting — is pinned byte-identical to the
-        scalar reference walk (``SnakePrefetcher._chain_requests``) by
-        property tests; the scalar walk remains the differential oracle
-        behind ``GPUConfig.batched_tables``.
+        ``lookups`` counter accounting — is pinned byte-identical by
+        property tests to a naive walk with one :meth:`find` per hop
+        (``tests/core/reference_snake.py``).
         """
         if self._dirty:
             self._rebuild()
@@ -260,7 +250,7 @@ class TailTable:
 
         out: List[Tuple[int, int]] = []
         # Depth-1 fan-out: every trained link out of the trigger PC (§3.4) —
-        # one CAM search in the scalar reference.
+        # one CAM search in the reference walk.
         bucket = idx_get(pc)
         if bucket:
             if use_np and len(bucket) >= _NP_MIN:
@@ -291,7 +281,7 @@ class TailTable:
         cur_pc, addr = pc, base_addr
         visited = set()
         for depth in range(1, depth_limit + 1):
-            # One CAM search per hop attempt in the scalar reference.
+            # One CAM search per hop attempt in the reference walk.
             lookups += 1
             bucket = idx_get(cur_pc)
             best: Optional[TailEntry] = None

@@ -20,14 +20,8 @@ from typing import Deque, Dict, List, Optional, Protocol, Tuple
 from collections import deque
 from heapq import heappop, heappush
 
-from repro.obs.events import (
-    BusLike,
-    CacheAccessEvent,
-    NULL_BUS,
-    PrefetchIssueEvent,
-    ThrottleEvent,
-)
-from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
+from repro.obs.events import BusLike, CacheAccessEvent, NULL_BUS
+from repro.prefetch.base import AccessEvent, Prefetcher
 
 from .coalescer import coalesce, coalesce_lines, coalesce_sectors
 from .config import GPUConfig
@@ -109,8 +103,8 @@ class SM:
         # once here instead of per observed access.
         self._pf_has_depth_limit = hasattr(prefetcher, "set_depth_limit")
         # Raw observe lane (Snake): takes the load's fields as plain ints
-        # and returns (base_addr, depth) pairs, so the batched issue path
-        # builds neither an AccessEvent nor PrefetchRequests.
+        # and returns (base_addr, depth) pairs, so the issue path builds
+        # neither an AccessEvent nor PrefetchRequests.
         self._pf_observe_raw = getattr(prefetcher, "observe_raw", None)
         # A mechanism that never predicts ("none" baseline keeps the base
         # class observe) makes the whole prefetcher hook a no-op, so loads
@@ -122,12 +116,6 @@ class SM:
             and not prefetcher.uses_magic
             and faults is None
         )
-        # Batched prefetch issue (docs/PERFORMANCE.md): hand the L1 each
-        # request's line vector in one call.  Scalar fallback when disabled
-        # by config (differential oracle) or when telemetry is on — the
-        # scalar path interleaves PrefetchIssueEvents with L1 drop events
-        # line by line, and event order is part of the parity contract.
-        self._batched_issue = config.batched_issue
         self.throttle = throttle
         self.scheduler = make_scheduler(config.scheduler)
         # Each scheduler issues at most one instruction per cycle, so the
@@ -152,7 +140,7 @@ class SM:
         # popped before issuing, re-pushed after; barrier parking removes
         # it, release re-adds it), so entries are never stale and the head
         # is an exact next-wakeup horizon — no per-quantum scan of all
-        # resident warps.  The reference :meth:`step` keeps its scans.
+        # resident warps.
         self._wake: List[Tuple[int, int, WarpState]] = []
         self._wake_seq = 0
         # Count of unfinished, non-parked warps with ``waiting_on_memory``
@@ -198,64 +186,23 @@ class SM:
         """Activate the first CTAs; call before stepping."""
         self._activate_ctas()
 
-    def step(self) -> bool:
-        """Advance this SM by one quantum — either one issue cycle or a jump
-        to the next warp-ready event.  Returns False once all work retired.
-
-        The GPU interleaves ``step()`` across SMs in global-time order so
-        that accesses to the *shared* L2/DRAM resources happen in (roughly)
-        chronological order — simulating SMs to completion one after another
-        would make a later SM's early requests queue behind the entire
-        lifetime of traffic from earlier SMs.
-        """
-        runnable = [
-            w for w in self._warps if not w.finished and not w.at_barrier
-        ]
-        if not runnable:
-            if self._cta_queue:
-                self._activate_ctas()
-                return True
-            return False
-
-        ready = [w for w in runnable if w.ready_at <= self.now]
-        if not ready:
-            next_time = min(w.ready_at for w in runnable)
-            gap = next_time - self.now
-            self.stats.stall_cycles_total += gap
-            if all(w.waiting_on_memory for w in runnable):
-                self.stats.stall_cycles_memory += gap
-            self.now = next_time
-            return True
-
-        issued = 0
-        while issued < self._issue_width:
-            ready = [
-                w
-                for w in self._warps
-                if not w.finished
-                and not w.at_barrier
-                and w.ready_at <= self.now
-            ]
-            if not ready:
-                break
-            warp = self.scheduler.pick(ready)
-            self._issue(warp)
-            self.scheduler.note_issued(warp)
-            issued += 1
-        self.now += 1
-        return True
-
     def step_event(self) -> Optional[int]:
-        """Event-core step: one quantum with the same semantics as
-        :meth:`step`, returning the SM's next-event horizon (the earliest
-        cycle it can make further progress) or None once all work retired.
+        """Advance this SM by one quantum — either one issue cycle or a
+        jump to the next warp-ready event — and return its next-event
+        horizon (the earliest cycle it can make further progress), or
+        None once all work retired.
 
-        Differences from the reference loop are purely structural — the
-        ready set comes off the wake heap instead of a scan over every
-        resident warp (the heap invariant is documented at ``_wake``), and
-        the schedulers are ready-*set* functions, never ready-*order*
-        functions, so heap pop order cannot perturb a pick.  Statistics
-        must be cycle-identical to :meth:`step`;
+        The GPU interleaves SMs in global-time order so that accesses to
+        the *shared* L2/DRAM resources happen in chronological order —
+        simulating SMs to completion one after another would make a later
+        SM's early requests queue behind the entire lifetime of traffic
+        from earlier SMs.
+
+        The ready set comes off the wake heap (its invariant is documented
+        at ``_wake``), and the schedulers are ready-*set* functions, never
+        ready-*order* functions, so heap pop order cannot perturb a pick.
+        Statistics must be cycle-identical to the step-every-warp scan in
+        ``tests/gpusim/reference_loop.py``;
         ``tests/gpusim/test_skip_ahead.py`` enforces this differentially.
         """
         now = self.now
@@ -322,7 +269,7 @@ class SM:
     def run(self) -> SimStats:
         """Single-SM convenience: step to completion."""
         self.start()
-        while self.step():
+        while self.step_event() is not None:
             pass
         return self.finalize()
 
@@ -482,101 +429,58 @@ class SM:
             # the tables are consulted — predictions may go wrong, demand
             # correctness cannot.
             self._faults.corrupt_tail(self.prefetcher, self.now, self.sm_id)
-        batched = (
-            self._batched_issue
-            and not self.obs.enabled
-            and not self.prefetcher.uses_magic
-        )
         observe_raw = self._pf_observe_raw
-        if batched and observe_raw is not None:
+        if observe_raw is not None:
             pairs = observe_raw(
                 warp.warp_id, instr.pc, instr.base_addr, app_id,
                 instr.divergent, self.now,
             )
-            if not pairs:
-                return
-            self.l1.prefetcher_trained = self.prefetcher.trained
-            self._issue_prefetch_batch(pairs, instr)
-            return
-        requests = self.prefetcher.observe(AccessEvent(
-            warp_id=warp.warp_id,
-            cta_id=warp.cta_id,
-            pc=instr.pc,
-            base_addr=instr.base_addr,
-            line_addr=line_addr,
-            now=self.now,
-            thread_stride=instr.thread_stride,
-            divergent=instr.divergent,
-            app_id=app_id,
-        ))
-        if not requests:
+        else:
+            pairs = [
+                (request.base_addr, request.depth)
+                for request in self.prefetcher.observe(AccessEvent(
+                    warp_id=warp.warp_id,
+                    cta_id=warp.cta_id,
+                    pc=instr.pc,
+                    base_addr=instr.base_addr,
+                    line_addr=line_addr,
+                    now=self.now,
+                    thread_stride=instr.thread_stride,
+                    divergent=instr.divergent,
+                    app_id=app_id,
+                ))
+            ]
+        if not pairs:
             return
         self.l1.prefetcher_trained = self.prefetcher.trained
-        if batched:
-            self._issue_prefetch_batch(
-                [(r.base_addr, r.depth) for r in requests], instr
-            )
-            return
-        for request in requests:
-            self._issue_prefetch(request, instr)
-
-    def _issue_prefetch(self, request: PrefetchRequest, instr: WarpInstr) -> None:
         if self.prefetcher.uses_magic:
+            self._issue_prefetch(pairs, instr)
+        else:
+            self._issue_prefetches(pairs, instr)
+
+    def _issue_prefetch(
+        self, requests: List[Tuple[int, int]], instr: WarpInstr
+    ) -> None:
+        """The Ideal oracle's fill: every requested line lands in the L1's
+        magic storage, with no throttle, latency or bandwidth."""
+        for base_addr, _depth in requests:
             for line in coalesce_lines(
-                request.base_addr, instr.thread_stride, instr.size_bytes,
+                base_addr, instr.thread_stride, instr.size_bytes,
                 self.config.warp_size, self.l1.line_bytes,
             ):
                 self.l1.magic_prefetch(line)
-            return
-        # The paper's trigger metric is total NoC utilization (the Fig 4
-        # measure): both directions against both directions' peak.
-        utilization = 0.5 * (
-            self.icnt_req.measured_utilization(self.now)
-            + self.icnt_resp.measured_utilization(self.now)
-        )
-        if not self.throttle.allow(self.now, self.l1, utilization):
-            self.stats.prefetch.dropped_throttled += 1
-            if self.obs.enabled:
-                reason = (
-                    "bandwidth" if getattr(self.throttle, "bw_halted", False)
-                    else "space"
-                )
-                self.obs.emit(
-                    ThrottleEvent(
-                        cycle=self.now, sm_id=self.sm_id, reason=reason,
-                        utilization=utilization,
-                    )
-                )
-            return
-        # The table search pipeline adds a couple of cycles before the
-        # request can leave the prefetcher (§5.5 reports 2 cycles).
-        issue_at = self.now + self.config.prefetcher_latency
-        for line in coalesce_lines(
-            request.base_addr, instr.thread_stride, instr.size_bytes,
-            self.config.warp_size, self.l1.line_bytes,
-        ):
-            sent = self.l1.prefetch(line, issue_at)
-            if sent and self.obs.enabled:
-                self.obs.emit(
-                    PrefetchIssueEvent(
-                        cycle=issue_at, sm_id=self.sm_id, pc=instr.pc,
-                        line_addr=line, depth=request.depth,
-                    )
-                )
 
-    def _issue_prefetch_batch(
+    def _issue_prefetches(
         self, requests: List[Tuple[int, int]], instr: WarpInstr
     ) -> None:
-        """Issue one trigger's whole candidate vector (``config.batched_issue``)
-        given raw ``(base_addr, depth)`` pairs.
+        """Issue one trigger's ``(base_addr, depth)`` requests.
 
         Coalesces every request up front and hands the L1 the full
         per-trigger vector-of-vectors in one
-        :meth:`UnifiedL1Cache.prefetch_trigger` call; the throttle still
-        votes per request inside (memoized — see there).  Statistics are
-        identical to the scalar loop (the retained oracle), pinned by
-        property tests; telemetry runs take the scalar path so event
-        interleaving is byte-stable.
+        :meth:`UnifiedL1Cache.prefetch_trigger` call, which votes the
+        throttle per request and emits the issue telemetry.  The table
+        search pipeline delays the requests by ``prefetcher_latency``
+        cycles (§5.5 reports 2).
         """
         now = self.now
         stride = instr.thread_stride
@@ -590,6 +494,8 @@ class SM:
                 )
                 for base_addr, _depth in requests
             ],
+            requests,
+            instr.pc,
             now,
             now + self.config.prefetcher_latency,
             self.throttle,

@@ -25,14 +25,16 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.events import (
     BusLike,
     NULL_BUS,
     PrefetchDropEvent,
     PrefetchFillEvent,
+    PrefetchIssueEvent,
     PrefetchUseEvent,
+    ThrottleEvent,
 )
 
 from .cache import LineState, MSHR, SetAssocCache
@@ -577,75 +579,61 @@ class UnifiedL1Cache:
     def prefetch_trigger(
         self,
         vectors: List[List[int]],
+        requests: Sequence[Tuple[int, int]],
+        pc: int,
         now: int,
         issue_at: int,
         throttle: "Throttle",
     ) -> None:
-        """Issue a whole trigger's candidate requests — one coalesced line
-        vector per prefetch request — in a single call
-        (``config.batched_issue``).
+        """Issue a whole trigger's prefetch requests in one call.
 
-        Per request the throttle still votes in sequence at ``now``, but
-        the vote is memoized: ``Throttle.allow`` is a deterministic,
-        repeat-idempotent function of (utilization, L1 occupancy, prefetch
-        backlog) at a fixed cycle, and within one trigger those inputs only
-        move when a request actually sends bytes or a fill commits — so
-        re-votes with unchanged inputs are provable no-ops, and once the
-        vote is False nothing can flip it back this trigger: every
-        remaining request drops, exactly what the scalar oracle concludes
-        one ``allow``/``prefetch()`` call at a time.  Counters, drop
-        events and MSHR/NoC state are identical to the scalar sequence
-        (pinned by property tests); telemetry runs take the scalar path in
-        the SM so event interleaving stays byte-stable.  With a fault
-        injector armed the line issue delegates to scalar :meth:`prefetch`
-        so chaos RNG draws keep their per-line cadence.
+        ``requests`` are the ``(base_addr, depth)`` pairs the load at
+        ``pc`` triggered and ``vectors`` their coalesced line vectors, in
+        the same order; lines leave for L2 at ``issue_at``.
+
+        Per request the throttle votes in sequence at ``now``, but the
+        vote is memoized: ``Throttle.allow`` is a deterministic,
+        repeat-idempotent function of (utilization, L1 occupancy,
+        prefetch backlog) at a fixed cycle, and within one trigger those
+        inputs only move when a request actually sends bytes or a fill
+        commits — so re-votes with unchanged inputs are provable no-ops,
+        and once the vote is False nothing can flip it back this trigger:
+        every remaining request drops, exactly what one ``allow`` call
+        per request concludes.  The test suite pins counters, events and
+        MSHR/NoC state to that naive loop.
+
+        With the event bus enabled, events come out in per-request,
+        per-line order: a refused vote emits one ``ThrottleEvent`` for its
+        request and one for each remaining request (each would be refused
+        again with the same inputs); otherwise each line emits its
+        ``PrefetchDropEvent`` or, once sent, a ``PrefetchIssueEvent``.
+        With a fault injector armed the line issue delegates to scalar
+        :meth:`prefetch` so chaos RNG draws keep their per-line cadence.
         """
         stats_pf = self.stats.prefetch
         pf_store = self._pf_store
         req_util = self._icnt_req.measured_utilization
         resp_util = self._icnt_resp.measured_utilization
         allow = throttle.allow
-        utilization = 0.0
-        need_vote = True
-        sent_since_vote = True
-        last_occ = -1
-        last_unused = -1
-        if self._faults is not None:
-            prefetch = self.prefetch
-            for index, vector in enumerate(vectors):
-                if sent_since_vote:
-                    utilization = 0.5 * (req_util(now) + resp_util(now))
-                elif (
-                    pf_store._occupancy != last_occ
-                    or pf_store._prefetch_unused != last_unused
-                ):
-                    need_vote = True  # fills committed: space inputs moved
-                if need_vote:
-                    if not allow(now, self, utilization):
-                        stats_pf.dropped_throttled += len(vectors) - index
-                        return
-                    last_occ = pf_store._occupancy
-                    last_unused = pf_store._prefetch_unused
-                    need_vote = False
-                    sent_since_vote = False
-                # Every line must reach prefetch() so chaos RNG draws keep
-                # their cadence — no short-circuit on first send.
-                if True in [prefetch(line, issue_at) for line in vector]:
-                    need_vote = True
-                    sent_since_vote = True
-            return
-
+        prefetch = self.prefetch
+        faults = self._faults
         store_get = self._store._flat.get
         side = self._side_buffer
         mshr = self._mshr
         mshr_get = mshr._inflight.get
         inflight_file = mshr._inflight
         fill_heap = mshr._fill_heap
-        obs = self._obs
-        observing = obs.enabled
         miss_queue = self._miss_queue
         mshr_cap = max(1, (self.config.mshr_entries * 3) // 4)
         queue_cap = max(1, self.config.miss_queue_depth - 1)
+        obs = self._obs
+        observing = obs.enabled
+        sm_id = self._sm_id
+        utilization = 0.0
+        need_vote = True
+        sent_since_vote = True
+        last_occ = -1
+        last_unused = -1
         for index, vector in enumerate(vectors):
             if sent_since_vote:
                 utilization = 0.5 * (req_util(now) + resp_util(now))
@@ -657,66 +645,87 @@ class UnifiedL1Cache:
             if need_vote:
                 if not allow(now, self, utilization):
                     stats_pf.dropped_throttled += len(vectors) - index
+                    if observing:
+                        reason = (
+                            "bandwidth" if getattr(throttle, "bw_halted", False)
+                            else "space"
+                        )
+                        for _ in range(len(vectors) - index):
+                            obs.emit(ThrottleEvent(
+                                cycle=now, sm_id=sm_id, reason=reason,
+                                utilization=utilization,
+                            ))
                     return
                 last_occ = pf_store._occupancy
                 last_unused = pf_store._prefetch_unused
                 need_vote = False
                 sent_since_vote = False
             sent_any = False
-            for line_addr in vector:
-                # The scalar path commits fills before every line; this
-                # guard replicates _commit_fills' own early-exit inline.
-                if (fill_heap and fill_heap[0][0] <= issue_at) or (
-                    miss_queue and miss_queue[0] <= issue_at
-                ):
-                    self._commit_fills(issue_at)
-                resident = store_get(line_addr)
-                if resident is None and side is not None:
-                    resident = side.lookup(line_addr)
-                if resident is not None:
-                    resident.predicted = True
-                    stats_pf.dropped_duplicate += 1
-                    if observing:
-                        obs.emit(
-                            PrefetchDropEvent(
-                                cycle=issue_at, sm_id=self._sm_id,
+            if faults is not None:
+                # Every line must reach prefetch() so chaos RNG draws keep
+                # their cadence — no short-circuit on first send.
+                for line_addr in vector:
+                    if prefetch(line_addr, issue_at):
+                        sent_any = True
+                        if observing:
+                            obs.emit(PrefetchIssueEvent(
+                                cycle=issue_at, sm_id=sm_id, pc=pc,
+                                line_addr=line_addr, depth=requests[index][1],
+                            ))
+            else:
+                for line_addr in vector:
+                    # prefetch() commits fills before every line; this guard
+                    # replicates _commit_fills' own early-exit inline.
+                    if (fill_heap and fill_heap[0][0] <= issue_at) or (
+                        miss_queue and miss_queue[0] <= issue_at
+                    ):
+                        self._commit_fills(issue_at)
+                    resident = store_get(line_addr)
+                    if resident is None and side is not None:
+                        resident = side.lookup(line_addr)
+                    if resident is not None:
+                        resident.predicted = True
+                        stats_pf.dropped_duplicate += 1
+                        if observing:
+                            obs.emit(PrefetchDropEvent(
+                                cycle=issue_at, sm_id=sm_id,
                                 line_addr=line_addr, reason="duplicate",
-                            )
-                        )
-                    continue
-                inflight = mshr_get(line_addr)
-                if inflight is not None:
-                    inflight.predicted = True
-                    stats_pf.dropped_duplicate += 1
-                    if observing:
-                        obs.emit(
-                            PrefetchDropEvent(
-                                cycle=issue_at, sm_id=self._sm_id,
+                            ))
+                        continue
+                    inflight = mshr_get(line_addr)
+                    if inflight is not None:
+                        inflight.predicted = True
+                        stats_pf.dropped_duplicate += 1
+                        if observing:
+                            obs.emit(PrefetchDropEvent(
+                                cycle=issue_at, sm_id=sm_id,
                                 line_addr=line_addr, reason="duplicate",
-                            )
-                        )
-                    continue
-                while miss_queue and miss_queue[0] <= issue_at:
-                    miss_queue.popleft()
-                if (
-                    len(inflight_file) >= mshr_cap
-                    or len(miss_queue) >= queue_cap
-                ):
-                    stats_pf.dropped_throttled += 1
-                    if observing:
-                        obs.emit(
-                            PrefetchDropEvent(
-                                cycle=issue_at, sm_id=self._sm_id,
+                            ))
+                        continue
+                    while miss_queue and miss_queue[0] <= issue_at:
+                        miss_queue.popleft()
+                    if (
+                        len(inflight_file) >= mshr_cap
+                        or len(miss_queue) >= queue_cap
+                    ):
+                        stats_pf.dropped_throttled += 1
+                        if observing:
+                            obs.emit(PrefetchDropEvent(
+                                cycle=issue_at, sm_id=sm_id,
                                 line_addr=line_addr, reason="headroom",
-                            )
-                        )
-                    continue
-                fill_time = self._send_to_l2(
-                    line_addr, issue_at, is_write=False, is_prefetch=True
-                )
-                mshr.allocate(line_addr, fill_time, is_prefetch=True)
-                stats_pf.issued += 1
-                sent_any = True
+                            ))
+                        continue
+                    fill_time = self._send_to_l2(
+                        line_addr, issue_at, is_write=False, is_prefetch=True
+                    )
+                    mshr.allocate(line_addr, fill_time, is_prefetch=True)
+                    stats_pf.issued += 1
+                    sent_any = True
+                    if observing:
+                        obs.emit(PrefetchIssueEvent(
+                            cycle=issue_at, sm_id=sm_id, pc=pc,
+                            line_addr=line_addr, depth=requests[index][1],
+                        ))
             if sent_any:
                 need_vote = True
                 sent_since_vote = True

@@ -1,8 +1,8 @@
 """Cycle-accounting rules (SL3xx).
 
 The cycle-accurate model has exactly one place where simulated time moves:
-the SM's event loop (``__init__`` initialises the clock, ``step`` and
-``step_event`` advance it).  A stray ``self.now += n`` in a cache or
+the SM's event loop (``__init__`` initialises the clock, ``step_event``
+advances it, ``reset`` rewinds it).  A stray ``self.now += n`` in a cache or
 prefetcher would silently skew every latency in the run, so SL301 pins
 clock writes to the designated advance methods.
 
@@ -31,7 +31,7 @@ from .engine import RepoContext, Rule
 from .findings import Finding
 
 #: the only methods allowed to move a component clock
-ADVANCE_METHODS = ("__init__", "step", "step_event", "reset")
+ADVANCE_METHODS = ("__init__", "step_event", "reset")
 
 #: attribute names that *are* component clocks in this codebase
 _CLOCK_ATTRS = ("now", "cycle")

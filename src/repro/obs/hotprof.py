@@ -3,8 +3,8 @@
 ``snake-repro profile --hot`` answers a different question than the
 cycle-domain telemetry in this package: not "where do the *simulated*
 cycles go" but "where does the *host's* wall time go".  It wraps the
-four hot components the batched-path work optimises (see
-docs/PERFORMANCE.md, "The batched hot path"):
+four hot components (see docs/PERFORMANCE.md, "The raw-argument hot
+path"):
 
 * ``table-walk`` — the learner side: ``observe`` / ``observe_raw``
   (Head-table update, Tail CAM search, chain walk, request generation);
@@ -19,11 +19,11 @@ the L1, the issue path receives already-coalesced lines, and demand
 traffic bypasses all three others.  Whatever they do not cover is
 reported as ``other`` (scheduling, the event core, trace bookkeeping).
 
-Like :mod:`repro.bench`, this module lives in the wall-clock domain —
-``time.perf_counter`` is the measurement, so it sits outside the SL101
-determinism-lint scope.  The instrumentation itself costs a few percent
-(one counter read per wrapped call); the table reports shares, which
-are robust to that overhead, rather than absolute promises.
+This module lives in the wall-clock domain — ``time.perf_counter`` is
+the measurement, so it sits outside the SL101 determinism-lint scope.
+The instrumentation itself costs a few percent (one counter read per
+wrapped call); the table reports shares, which are robust to that
+overhead, rather than absolute promises.
 """
 
 from __future__ import annotations
@@ -148,14 +148,12 @@ def hot_profile_run(
     mechanism: str = "snake",
     scale: float = 1.0,
     seed: int = 1,
-    legacy_loop: bool = False,
 ) -> HotProfile:
     """Run one workload with the hot components instrumented.
 
-    Telemetry stays *off*: the observability bus reroutes the issue path
-    through its scalar event-interleaved lane, which is exactly the code
-    this profile exists to attribute.  Module-level coalesce helpers are
-    patched for the duration of the run and always restored.
+    Telemetry stays *off* so the profile times the simulator, not the
+    event sinks.  Module-level coalesce helpers are patched for the
+    duration of the run and always restored.
     """
     from repro.gpusim import sm as sm_module
     from repro.gpusim.config import GPUConfig
@@ -163,8 +161,7 @@ def hot_profile_run(
     from repro.prefetch import build_setup
     from repro.workloads import build_kernel
 
-    config = GPUConfig.scaled().with_(legacy_loop=legacy_loop)
-    setup = build_setup(mechanism, config)
+    setup = build_setup(mechanism, GPUConfig.scaled())
     kernel = build_kernel(app, scale=scale, seed=seed)
     gpu = GPU(
         config=setup.config,

@@ -51,7 +51,7 @@ from .errors import (
     WorkerLost,
     is_retryable,
 )
-from .jobs import JobSpec, engine_fingerprint, execute_job, job_hash, shard_of
+from .jobs import JobSpec, execute_job, job_hash, shard_of
 from .leases import Lease, LeaseTable
 from .pool import SweepResult, default_jobs, grid_specs, run_grid, run_jobs
 from .scheduler import Scheduler
@@ -91,7 +91,6 @@ __all__ = [
     "WallClock",
     "WorkerLost",
     "default_jobs",
-    "engine_fingerprint",
     "execute_job",
     "grid_specs",
     "is_retryable",

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Tuple, Union
 
-from repro.bench.schema import BENCH_SCHEMA_VERSION
 from repro.gpusim import GPUConfig, SimStats
 from repro.gpusim.config import InvalidConfigError
 from repro.gpusim.gpu import GPU
@@ -116,24 +115,10 @@ class JobSpec:
         return "%s/%s%s" % (self.app, self.mechanism, "[%s]" % extra if extra else "")
 
 
-def engine_fingerprint(spec: JobSpec) -> dict:
-    """The *implementation* identity a result depends on, beyond the
-    spec's own knobs: which timing loop simulated it (the skip-ahead
-    event core and the ``legacy_loop`` reference are cycle-identical by
-    contract, but a checkpoint must never silently mix results from the
-    two implementations) and the bench schema version (bumped when the
-    recorded performance surface is reinterpreted)."""
-    config_dict = spec.config or {}
-    loop = "legacy" if config_dict.get("legacy_loop") else "skip-ahead"
-    return {"loop": loop, "bench_schema": BENCH_SCHEMA_VERSION}
-
-
 def job_hash(spec: JobSpec) -> str:
-    """Deterministic 16-hex-digit digest of a spec's canonical JSON form
-    plus the engine fingerprint."""
+    """Deterministic 16-hex-digit digest of a spec's canonical JSON form."""
     payload = json.dumps(
-        {"spec": spec.to_dict(), "engine": engine_fingerprint(spec)},
-        sort_keys=True, separators=(",", ":"), default=str,
+        spec.to_dict(), sort_keys=True, separators=(",", ":"), default=str,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -250,4 +235,4 @@ def execute_job(spec: JobSpec) -> SimStats:
             ) from exc
 
 
-__all__ = ["JobSpec", "engine_fingerprint", "execute_job", "job_hash", "shard_of"]
+__all__ = ["JobSpec", "execute_job", "job_hash", "shard_of"]

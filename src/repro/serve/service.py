@@ -186,10 +186,9 @@ class PrefetchServer:
         queue = self._queue
         while True:
             # Sweep the backlog: one awaited item plus whatever is already
-            # queued behind it, so a busy shard drains through the state
-            # core's batched lane (``ServiceState.apply_batch``) instead of
-            # one ``apply`` per loop turn.  Bounded by ``batch_limit`` to
-            # keep the event loop responsive under sustained load.
+            # queued behind it, so a busy shard drains in one loop turn
+            # instead of one ``apply`` per turn.  Bounded by ``batch_limit``
+            # to keep the event loop responsive under sustained load.
             items = [await queue.get()]
             while len(items) < self.settings.batch_limit:
                 try:
@@ -203,14 +202,8 @@ class PrefetchServer:
                     queue.task_done()
 
     def _process_swept(self, items: List[tuple]) -> None:
-        """Answer one sweep of queued requests.
-
-        Deadline shedding, cancellation, and hello handling stay
-        per-item; contiguous runs of live access records are handed to
-        :meth:`_process_access_batch` so the state core can batch them.
-        Response order matches queue order exactly.
-        """
-        run: List[tuple] = []
+        """Answer one sweep of queued requests in queue order, shedding
+        the ones that aged past the deadline."""
         for item in items:
             op, client, request, future, enqueued = item
             if future.cancelled():
@@ -225,60 +218,10 @@ class PrefetchServer:
                     detail="aged %.3fs in queue" % age,
                     retry_after_s=self.settings.deadline_s,
                 ))
-                continue
-            if op == "hello":
-                self._process_access_batch(run)
-                run = []
+            elif op == "hello":
                 future.set_result(self._process_hello(request))
             else:
-                run.append((client, request, future))
-        self._process_access_batch(run)
-
-    def _process_access_batch(
-        self, items: List[tuple]
-    ) -> None:
-        """Apply a run of access requests through the batched state lane
-        and journal each applied record at its own sequence number."""
-        if not items:
-            return
-        if len(items) == 1:
-            client, request, future = items[0]
-            future.set_result(self._process_access(client, request))
-            return
-        assert self.state is not None and self.journal is not None
-        applied_list = self.state.apply_batch([
-            (client, request["warp"], request["pc"], request["addr"],
-             request["app"])
-            for client, request, _ in items
-        ])
-        # ``apply_batch`` advances ``seq`` once per *applied* record;
-        # walking the results reconstructs each record's own seq for the
-        # journal (expired-session records do not consume one).
-        seq = self.state.seq - sum(1 for a in applied_list if a is not None)
-        for (client, request, future), applied in zip(items, applied_list):
-            if applied is None:
-                future.set_result(nack(
-                    "session-expired", seq=request.get("seq"),
-                    detail="session was evicted; re-hello to continue",
-                ))
-                continue
-            seq += 1
-            self.journal.record_access(
-                seq, client, request["warp"], request["pc"],
-                request["addr"], request["app"],
-            )
-            self._maybe_snapshot()
-            if applied.breaker_opened:
-                self._emit("breaker_open", client=client,
-                           detail="shard %d: %s"
-                           % (applied.shard, applied.fault))
-            if applied.breaker_closed:
-                self._emit("breaker_close", client=client,
-                           detail="shard %d" % applied.shard)
-            future.set_result(ack(
-                seq=request.get("seq"), predictions=applied.predictions,
-                degraded=applied.degraded,
-            ))
+                future.set_result(self._process_access(client, request))
 
     def _process_hello(self, request: Dict[str, Any]) -> Dict[str, Any]:
         assert self.state is not None and self.journal is not None

@@ -436,84 +436,11 @@ class ServiceState:
     def apply_batch(
         self, records: List[Tuple[str, int, int, int, int]]
     ) -> List[Optional[ApplyResult]]:
-        """Absorb a run of ``(client, warp, pc, addr, app)`` records.
-
-        State-identical to applying each record through :meth:`apply` in
-        order — the journal replays record by record, so a recovered
-        service must land on the same digest no matter how live traffic
-        was batched.  The speedup comes from handing maximal runs that
-        share a (session, shard) pair to the learner's vectorized
-        :meth:`~repro.core.snake.SnakePrefetcher.observe_batch` in one
-        call; any record that cannot be proven equivalent under batching
-        (missing session, open/half-open breaker, a structural-audit
-        boundary, or a non-Snake learner planted by a test) is routed
-        through the scalar :meth:`apply` unchanged.
-        """
-        results: List[Optional[ApplyResult]] = []
-        shards = self.config.shards
-        audit_every = self.config.audit_every
-        i, n = 0, len(records)
-        while i < n:
-            client, warp, pc, addr, app = records[i]
-            session = self.sessions.get(client)
-            j = i
-            if session is not None:
-                shard_index = pc % shards
-                breaker = session.breakers[shard_index]
-                # Runs only batch while the breaker is *closed*: a closed
-                # breaker with a healthy Snake learner cannot fault, so
-                # the scalar path's per-event trial/half-open bookkeeping
-                # degenerates to a single ``on_ok``.  The run must also
-                # stop short of any structural-audit boundary — that
-                # event runs (and may fail) the audit, so it goes scalar.
-                if (breaker.state == "closed"
-                        and type(session.shards[shard_index])
-                        is SnakePrefetcher):
-                    boundary = audit_every - session.applied % audit_every
-                    limit = min(n - i, boundary - 1)
-                    while (j - i < limit and records[j][0] == client
-                           and records[j][2] % shards == shard_index):
-                        j += 1
-            if j - i >= 2:
-                results.extend(self._apply_run(
-                    session, pc % shards, records[i:j]
-                ))
-                i = j
-            else:
-                results.append(self.apply(client, warp, pc, addr, app))
-                i += 1
-        return results
-
-    def _apply_run(
-        self, session: ClientSession, shard_index: int,
-        records: List[Tuple[str, int, int, int, int]],
-    ) -> List[ApplyResult]:
-        """Batched fast lane for one eligibility-checked run (see
-        :meth:`apply_batch` for the conditions that make this exactly
-        equivalent to sequential :meth:`apply` calls)."""
-        base_seq = self.seq
-        count = len(records)
-        _, warps, pcs, addrs, apps = zip(*records)
-        prediction_lists = session.shards[shard_index].observe_batch(
-            warps, pcs, addrs, apps, range(base_seq + 1, base_seq + count + 1)
-        )
-        self.seq = base_seq + count
-        session.last_active = self.seq
-        session.applied += count
-        self.counters["applied"] += count
-        # Every event in the run answers from the (closed) learner: the
-        # per-event ``on_ok`` calls collapse to one failure-count reset.
-        session.breakers[shard_index].on_ok()
-        fallback_update = session.fallback.update
-        results: List[ApplyResult] = []
-        for (_, warp, pc, addr, _), predictions in zip(
-            records, prediction_lists
-        ):
-            fallback_update(warp, pc, addr)
-            results.append(ApplyResult(
-                predictions=predictions, shard=shard_index,
-            ))
-        return results
+        """Absorb a run of ``(client, warp, pc, addr, app)`` records, one
+        :meth:`apply` each, in order — the journal replays record by
+        record, so a batch must land on the same digest."""
+        apply = self.apply
+        return [apply(*record) for record in records]
 
     # ------------------------------------------------------------------
     # Pure reads

@@ -1,26 +1,30 @@
-"""Property tests pinning the batched hot path to its scalar oracles.
+"""Property tests pinning the hot path to its naive references.
 
-The batched lanes (``HeadTable.update_batch``, ``TailTable.walk_raw``
-under ``SnakePrefetcher(batched=True)``, ``observe_raw`` /
-``observe_batch``, and the SM/L1 ``prefetch_trigger`` issue path behind
-``GPUConfig.batched_issue``) are pure performance refactors: every one
-retains its scalar predecessor as a differential oracle, and these
-tests are the pin — hypothesis-generated access streams, seeds and
-chain shapes (including forced Tail evictions and the fault injector's
-in-field corruption modes) must produce identical predictions, table
-state and statistics on both paths.
+The production lanes (``TailTable.walk_raw`` under
+``SnakePrefetcher._generate_raw``, ``observe_raw``, and the SM/L1
+``prefetch_trigger`` issue path) are performance refactors of the naive
+references kept beside these tests (``reference_snake.py``,
+``tests/gpusim/reference_issue.py``), and these tests are the pin —
+hypothesis-generated access streams, seeds and chain shapes (including
+forced Tail evictions and the fault injector's in-field corruption
+modes) must produce identical predictions, table state and statistics
+on both paths.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.head_table import HeadTable
 from repro.core.snake import SnakePrefetcher
 from repro.core.tail_table import TrainState
 from repro.gpusim import GPUConfig, simulate
 from repro.gpusim.trace import CTA, KernelTrace, Op, WarpInstr, WarpTrace, renumber_warps
 from repro.prefetch.base import AccessEvent
+
+from ..gpusim import reference_issue
+from . import reference_snake
+from .reference_snake import ReferenceSnake
 
 
 def _stream(seed, length, pcs, warps, chain_shape):
@@ -54,15 +58,12 @@ def _stream(seed, length, pcs, warps, chain_shape):
 
 
 def _make_pair(tail_entries, depth):
-    """(batched, scalar-oracle) learners with otherwise identical knobs."""
+    """(production, reference) learners with identical knobs."""
     kwargs = dict(
         head_entries=8, tail_entries=tail_entries, train_threshold=2,
         max_chain_depth=depth,
     )
-    return (
-        SnakePrefetcher(batched=True, **kwargs),
-        SnakePrefetcher(batched=False, **kwargs),
-    )
+    return SnakePrefetcher(**kwargs), ReferenceSnake(**kwargs)
 
 
 def _table_state(learner):
@@ -86,103 +87,33 @@ class TestLearnerParity:
     @given(params=STREAMS, tail_entries=st.integers(2, 24),
            depth=st.integers(1, 12))
     def test_observe_matches_scalar_oracle(self, params, tail_entries, depth):
-        """batched=True vs batched=False: identical predictions, lookup
-        accounting and table state — small Tail capacities force eviction
-        interleavings, large ones cross the vectorized-walk threshold."""
+        """Production vs reference generation: identical predictions,
+        lookup accounting and table state — small Tail capacities force
+        eviction interleavings, large ones cross the vectorized-walk
+        threshold."""
         events = _stream(*params)
-        batched, scalar = _make_pair(tail_entries, depth)
+        production, reference = _make_pair(tail_entries, depth)
         for event in events:
-            got = [(r.base_addr, r.depth) for r in batched.observe(event)]
-            want = [(r.base_addr, r.depth) for r in scalar.observe(event)]
+            got = [(r.base_addr, r.depth) for r in production.observe(event)]
+            want = [(r.base_addr, r.depth) for r in reference.observe(event)]
             assert got == want
-        assert batched.tail.lookups == scalar.tail.lookups
-        assert _table_state(batched) == _table_state(scalar)
+        assert production.tail.lookups == reference.tail.lookups
+        assert _table_state(production) == _table_state(reference)
 
     @settings(max_examples=25, deadline=None)
     @given(params=STREAMS, tail_entries=st.integers(2, 24))
     def test_observe_raw_matches_observe(self, params, tail_entries):
         """The raw (base_addr, depth) lane is the boxed lane, unboxed."""
         events = _stream(*params)
-        raw, scalar = _make_pair(tail_entries, 8)
+        raw, reference = _make_pair(tail_entries, 8)
         for event in events:
             pairs = raw.observe_raw(
                 event.warp_id, event.pc, event.base_addr, event.app_id,
                 event.divergent, event.now,
             )
-            want = [(r.base_addr, r.depth) for r in scalar.observe(event)]
+            want = [(r.base_addr, r.depth) for r in reference.observe(event)]
             assert pairs == want
-        assert _table_state(raw) == _table_state(scalar)
-
-    @settings(max_examples=25, deadline=None)
-    @given(params=STREAMS, tail_entries=st.integers(2, 24),
-           chunks=st.integers(0, 2**31))
-    def test_observe_batch_matches_sequential(self, params, tail_entries,
-                                              chunks):
-        """Randomly chunked observe_batch == one observe per event.
-        The batch lane takes uniform loads only, so each divergent load
-        ends a chunk and goes through observe_raw on its own."""
-        events = _stream(*params)
-        grouped, sequential = _make_pair(tail_entries, 8)
-        rng = random.Random(chunks)
-        want = [
-            [r.base_addr for r in sequential.observe(e)] for e in events
-        ]
-        got = []
-        i = 0
-        while i < len(events):
-            if events[i].divergent:
-                e = events[i]
-                pairs = grouped.observe_raw(
-                    e.warp_id, e.pc, e.base_addr, e.app_id, True, e.now
-                )
-                got.append([addr for addr, _ in pairs])
-                i += 1
-                continue
-            k = rng.randrange(1, 24)
-            chunk = events[i:i + k]
-            chunk = chunk[:next(
-                (j for j, e in enumerate(chunk) if e.divergent), len(chunk)
-            )]
-            got.extend(grouped.observe_batch(
-                [e.warp_id for e in chunk], [e.pc for e in chunk],
-                [e.base_addr for e in chunk], [e.app_id for e in chunk],
-                [e.now for e in chunk],
-            ))
-            i += len(chunk)
-        assert got == want
-        assert grouped.tail.lookups == sequential.tail.lookups
-        assert _table_state(grouped) == _table_state(sequential)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**31), capacity=st.integers(1, 12),
-           chunks=st.integers(0, 2**31))
-    def test_head_update_batch_matches_scalar(self, seed, capacity, chunks):
-        """update_batch == N update calls: same transitions, same rows,
-        LRU eviction included."""
-        rng = random.Random(seed)
-        n = rng.randrange(16, 200)
-        warps = [rng.randrange(capacity + 4) for _ in range(n)]
-        pcs = [0x10 * rng.randrange(6) for _ in range(n)]
-        addrs = [rng.randrange(1 << 40) for _ in range(n)]
-        one, batch = HeadTable(capacity), HeadTable(capacity)
-        want = []
-        for w, p, a in zip(warps, pcs, addrs):
-            want.append(one.update(w, p, a))
-        got = []
-        i = 0
-        while i < n:
-            k = random.Random(chunks + i).randrange(1, 32)
-            pc1s, strides, valid = batch.update_batch(
-                warps[i:i + k], pcs[i:i + k], addrs[i:i + k]
-            )
-            for j in range(len(valid)):
-                got.append(
-                    (int(pc1s[j]), int(strides[j])) if valid[j] else None
-                )
-            i += k
-        assert got == want
-        assert one.snapshot() == batch.snapshot()
-        assert one.accesses == batch.accesses
+        assert _table_state(raw) == _table_state(reference)
 
     @settings(max_examples=20, deadline=None)
     @given(params=STREAMS, tail_entries=st.integers(2, 20),
@@ -193,17 +124,17 @@ class TestLearnerParity:
         """The fault injector's in-field Tail corruptions (stale stride,
         scrambled warp vector, spurious promotion), applied identically
         to both learners mid-stream, must not desynchronize the paths —
-        the batched walk reads the same corrupted state the scalar CAM
-        scan does."""
+        the production walk reads the same corrupted state the reference
+        CAM scan does."""
         events = _stream(*params)
-        batched, scalar = _make_pair(tail_entries, 8)
+        production, reference = _make_pair(tail_entries, 8)
         rng = random.Random(fault_seed)
         for event in events:
-            if rng.random() < 0.08 and len(batched.tail):
-                index = rng.randrange(len(batched.tail))
+            if rng.random() < 0.08 and len(production.tail):
+                index = rng.randrange(len(production.tail))
                 mode = rng.randrange(3)
                 scrambled = rng.getrandbits(64)
-                for learner in (batched, scalar):
+                for learner in (production, reference):
                     entry = learner.tail.entries()[index]
                     if mode == 0:
                         entry.inter_thread_stride *= 3
@@ -212,10 +143,10 @@ class TestLearnerParity:
                     else:
                         entry.t1 = TrainState.TRAINED
                     learner.tail.mark_dirty()
-            got = [(r.base_addr, r.depth) for r in batched.observe(event)]
-            want = [(r.base_addr, r.depth) for r in scalar.observe(event)]
+            got = [(r.base_addr, r.depth) for r in production.observe(event)]
+            want = [(r.base_addr, r.depth) for r in reference.observe(event)]
             assert got == want
-        assert _table_state(batched) == _table_state(scalar)
+        assert _table_state(production) == _table_state(reference)
 
     @settings(max_examples=15, deadline=None)
     @given(params=STREAMS, tail_entries=st.integers(2, 24))
@@ -226,15 +157,15 @@ class TestLearnerParity:
         exactly like the original (both lanes)."""
         events = _stream(*params)
         half = len(events) // 2
-        for batched in (True, False):
-            learner = SnakePrefetcher(
+        for cls in (SnakePrefetcher, ReferenceSnake):
+            learner = cls(
                 head_entries=8, tail_entries=tail_entries,
-                train_threshold=2, batched=batched,
+                train_threshold=2,
             )
             for event in events[:half]:
                 learner.observe(event)
             image = learner.snapshot()
-            clone = SnakePrefetcher.restore(image)
+            clone = cls.restore(image)
             assert clone.snapshot() == image
             for event in events[half:]:
                 got = [(r.base_addr, r.depth) for r in clone.observe(event)]
@@ -281,15 +212,15 @@ class TestRawLaneParity:
     def test_raw_lane_adapter_and_oracle_agree(self, params, tail_entries,
                                                per_app, fault_seed):
         """``observe_raw`` (the production lane), ``observe(event)`` (the
-        boxing adapter) and the ``batched=False`` scalar oracle: identical
-        pairs, ``lookups`` and snapshots — over divergent loads, per-app
-        tables, near-0 addresses, small-Tail eviction churn and in-field
-        fault corruption applied identically to all three."""
+        boxing adapter) and the reference learner: identical pairs,
+        ``lookups`` and snapshots — over divergent loads, per-app tables,
+        near-0 addresses, small-Tail eviction churn and in-field fault
+        corruption applied identically to all three."""
         kwargs = dict(head_entries=6, tail_entries=tail_entries,
                       train_threshold=2, max_chain_depth=6, per_app=per_app)
         raw = SnakePrefetcher(**kwargs)
         adapter = SnakePrefetcher(**kwargs)
-        oracle = SnakePrefetcher(batched=False, **kwargs)
+        oracle = ReferenceSnake(**kwargs)
         learners = (raw, adapter, oracle)
         rng = random.Random(fault_seed)
         for warp, pc, addr, app, divergent, now in _raw_stream(*params):
@@ -347,27 +278,25 @@ def _small_kernel(seed):
     return KernelTrace(name="batched-parity", ctas=ctas)
 
 
-class TestSimulatorFlagParity:
-    """The end-to-end pin: flipping the batched-path config flags must
-    leave every simulated statistic untouched — the scalar paths exist
-    as oracles, not alternatives."""
+class TestSimulatorReferenceParity:
+    """The end-to-end pin: swapping in the naive Snake generation and L1
+    issue references must leave every simulated statistic untouched."""
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**31),
            mech=st.sampled_from(["snake", "s-snake", "intra"]))
-    def test_batched_flags_do_not_move_stats(self, seed, mech):
+    def test_references_do_not_move_stats(self, seed, mech):
         kernel = _small_kernel(seed)
-        reference = None
-        for tables in (True, False):
-            for issue in (True, False):
-                config = GPUConfig().with_(
-                    batched_tables=tables, batched_issue=issue
-                )
-                stats = simulate(kernel, prefetcher=mech, config=config)
-                if reference is None:
-                    reference = stats
-                else:
-                    assert stats == reference, (
-                        "stats diverged with batched_tables=%s "
-                        "batched_issue=%s" % (tables, issue)
-                    )
+        reference = simulate(kernel, prefetcher=mech, config=GPUConfig())
+        for snake_ref, issue_ref in ((True, False), (False, True),
+                                     (True, True)):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                if snake_ref:
+                    reference_snake.install(monkeypatch)
+                if issue_ref:
+                    reference_issue.install(monkeypatch)
+                stats = simulate(kernel, prefetcher=mech, config=GPUConfig())
+            assert stats == reference, (
+                "stats diverged with reference snake=%s issue=%s"
+                % (snake_ref, issue_ref)
+            )

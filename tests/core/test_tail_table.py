@@ -171,23 +171,3 @@ class TestEviction:
         for warp, pc1, pc2, stride in records:
             tail.record(warp, pc1, pc2, stride)
         assert len(tail) <= 5
-
-
-class TestChainNext:
-    def test_finds_trained_link_for_warp(self):
-        tail = TailTable(train_threshold=2)
-        for warp in (0, 1):
-            tail.record(warp, 0x10, 0x20, 400)
-        entry = tail.chain_next(0x10, warp_id=0)
-        assert entry is not None and entry.pc2 == 0x20
-
-    def test_requires_warp_bit(self):
-        tail = TailTable(train_threshold=2)
-        for warp in (0, 1):
-            tail.record(warp, 0x10, 0x20, 400)
-        assert tail.chain_next(0x10, warp_id=7) is None
-
-    def test_requires_training(self):
-        tail = TailTable(train_threshold=3)
-        tail.record(0, 0x10, 0x20, 400)
-        assert tail.chain_next(0x10, warp_id=0) is None

@@ -1,7 +1,7 @@
 """Differential tests for the event-driven skip-ahead core.
 
-The refactor's contract (docs/PERFORMANCE.md): the event core and the
-``legacy_loop`` reference implementation are **cycle-identical** — not
+The contract (docs/PERFORMANCE.md): the event core and the naive
+reference loop in ``reference_loop.py`` are **cycle-identical** — not
 statistically close, byte-equal on every counter, for every mechanism,
 storage mode, topology, and even under chaos faults (the shared RNG
 stream must be consulted in the same order at the same cycles).
@@ -12,24 +12,30 @@ import pytest
 from repro.gpusim import FaultInjector, FaultPlan, GPUConfig, simulate
 from repro.workloads import build_kernel
 
+from . import reference_loop
+
 SCALE = 0.15
 
 
+def event_and_reference(run):
+    """``run()`` on the event core, then again with the reference loop
+    installed; returns both results."""
+    event = run()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        reference_loop.install(monkeypatch)
+        reference = run()
+    return event, reference
+
+
 def both_loops(app, mechanism, scale=SCALE, seed=1, config=None, **kwargs):
-    """Run one cell on the event core and the legacy reference; returns
+    """Run one cell on the event core and the reference loop; returns
     the two SimStats dicts."""
-    base = config or GPUConfig.scaled()
-    results = []
-    for legacy in (False, True):
-        kernel = build_kernel(app, scale=scale, seed=seed)
-        stats = simulate(
-            kernel,
-            prefetcher=mechanism,
-            config=base.with_(legacy_loop=legacy),
-            **kwargs,
-        )
-        results.append(stats.as_dict())
-    return results
+    return event_and_reference(lambda: simulate(
+        build_kernel(app, scale=scale, seed=seed),
+        prefetcher=mechanism,
+        config=config or GPUConfig.scaled(),
+        **kwargs,
+    ).as_dict())
 
 
 class TestCycleIdentical:
@@ -71,24 +77,25 @@ class TestCycleIdentical:
 class TestFigureCSVs:
     def test_sweep_csv_identical(self, tmp_path):
         """The figure pipeline (in-process sweep -> coverage matrix ->
-        CSV) must produce byte-identical files from either loop."""
+        CSV) must produce byte-identical files from either loop.  The
+        in-process runner (``jobs=0``) sees the installed loop."""
         from repro.analysis import export
         from repro.analysis.experiments import figure16_from
         from repro.runner import grid_specs, run_jobs
 
-        paths = []
-        for legacy in (False, True):
-            config = GPUConfig.scaled().with_(legacy_loop=legacy)
+        def sweep_csv():
             specs = grid_specs(
                 ["lps", "hotspot"], ["none", "snake"],
-                config=config, scale=SCALE, seed=1,
+                config=GPUConfig.scaled(), scale=SCALE, seed=1,
             )
             result = run_jobs(specs, jobs=0)
             assert result.ok
-            out = tmp_path / ("fig16_%s.csv" % ("legacy" if legacy else "event"))
+            out = tmp_path / "fig16.csv"
             export.to_csv(figure16_from(result.cells()), str(out))
-            paths.append(out)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+            return out.read_bytes()
+
+        event, reference = event_and_reference(sweep_csv)
+        assert event == reference
 
 
 class _FaultRecorder:
@@ -110,20 +117,39 @@ class TestChaosParity:
         """Chaos injection consults one seeded RNG stream in simulation
         order; if the event core visited components in any different
         order the firing sequence (site, cycle) would diverge."""
-        traces = []
-        stats = []
-        for legacy in (False, True):
+
+        def chaos_run():
             recorder = _FaultRecorder()
             injector = FaultInjector(
                 FaultPlan.storm(seed=3, delay_cycles=200), obs=recorder
             )
             kernel = build_kernel("hotspot", scale=SCALE, seed=1)
-            config = GPUConfig.scaled().with_(legacy_loop=legacy)
             result = simulate(
-                kernel, prefetcher="snake", config=config, faults=injector
+                kernel, prefetcher="snake", config=GPUConfig.scaled(),
+                faults=injector,
             )
             assert injector.total_fired > 0
-            traces.append(recorder.events)
-            stats.append(result.as_dict())
-        assert traces[0] == traces[1]
-        assert stats[0] == stats[1]
+            return recorder.events, result.as_dict()
+
+        (event_trace, event_stats), (ref_trace, ref_stats) = (
+            event_and_reference(chaos_run)
+        )
+        assert event_trace == ref_trace
+        assert event_stats == ref_stats
+
+
+class TestReferenceLoop:
+    def test_installed_loop_never_calls_the_event_step(self, monkeypatch):
+        """The differential tests above are only meaningful if the
+        reference really replaces the event core."""
+        from repro.gpusim.sm import SM
+
+        def unreachable(sm):
+            raise AssertionError("SM.step_event ran under the reference loop")
+
+        reference_loop.install(monkeypatch)
+        monkeypatch.setattr(SM, "step_event", unreachable)
+        stats = simulate(
+            build_kernel("lps", scale=SCALE, seed=1), prefetcher="snake"
+        )
+        assert stats.instructions > 0

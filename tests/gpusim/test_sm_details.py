@@ -95,11 +95,11 @@ class TestPrefetchFootprint:
         sm = make_sm(config, prefetcher=OneShot())
         original = sm.l1.prefetch_trigger
 
-        def spy(vectors, now, issue_at, throttle):
+        def spy(vectors, requests, pc, now, issue_at, throttle):
             issued_at.extend(
                 (line, issue_at) for vector in vectors for line in vector
             )
-            return original(vectors, now, issue_at, throttle)
+            return original(vectors, requests, pc, now, issue_at, throttle)
 
         sm.l1.prefetch_trigger = spy
         load = WarpInstr(pc=1, op=Op.LOAD, base_addr=0, thread_stride=0)

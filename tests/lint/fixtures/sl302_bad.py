@@ -5,6 +5,6 @@ class SM:
     def __init__(self, stats) -> None:
         self.stats = stats
 
-    def step(self) -> None:
+    def step_event(self) -> None:
         self.stats.instructionz += 1
         self.stats.prefetch.issuedd += 1

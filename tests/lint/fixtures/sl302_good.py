@@ -5,6 +5,6 @@ class SM:
     def __init__(self, stats) -> None:
         self.stats = stats
 
-    def step(self) -> None:
+    def step_event(self) -> None:
         self.stats.instructions += 1
         self.stats.prefetch.issued += 1

@@ -5,5 +5,5 @@ class DRAMModel:
     def __init__(self) -> None:
         self.now = 0
 
-    def step(self) -> None:
+    def step_event(self) -> None:
         self.now += 1

@@ -1,16 +1,12 @@
 """JobSpec identity (deterministic hashing) and in-process execution."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.bench.schema import BENCH_SCHEMA_VERSION
 from repro.gpusim import GPUConfig
-from repro.runner import (
-    InvalidConfig,
-    JobSpec,
-    engine_fingerprint,
-    execute_job,
-    job_hash,
-)
+from repro.runner import InvalidConfig, JobSpec, execute_job, job_hash
 
 SCALE = 0.05
 
@@ -60,33 +56,22 @@ class TestJobHash:
         assert back == spec
         assert job_hash(back) == job_hash(spec)
 
+    def test_hash_is_a_function_of_the_spec_alone(self):
+        """No implementation identity is folded in: the hash is the
+        digest of the spec's canonical JSON, nothing else."""
+        spec = JobSpec.make("lps", "snake", config=GPUConfig.scaled())
+        canonical = json.dumps(
+            spec.to_dict(), sort_keys=True, separators=(",", ":"), default=str
+        )
+        assert job_hash(spec) == (
+            hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        )
+
     def test_label_names_the_cell(self):
         spec = JobSpec.make("lps", "snake", eviction="pop")
         assert "lps" in spec.label()
         assert "snake" in spec.label()
         assert "eviction=pop" in spec.label()
-
-
-class TestEngineFingerprint:
-    """Results depend on the simulating *implementation* too: a
-    checkpoint produced by the legacy loop must never be reused for a
-    skip-ahead job (and vice versa), and a bench-schema bump invalidates
-    recorded performance identities."""
-
-    def test_default_is_skip_ahead(self):
-        spec = JobSpec.make("lps", "snake")
-        assert engine_fingerprint(spec)["loop"] == "skip-ahead"
-        assert engine_fingerprint(spec)["bench_schema"] == BENCH_SCHEMA_VERSION
-
-    def test_legacy_loop_changes_the_hash(self):
-        event = JobSpec.make(
-            "lps", "snake", config=GPUConfig.scaled().with_(legacy_loop=False)
-        )
-        legacy = JobSpec.make(
-            "lps", "snake", config=GPUConfig.scaled().with_(legacy_loop=True)
-        )
-        assert engine_fingerprint(legacy)["loop"] == "legacy"
-        assert job_hash(event) != job_hash(legacy)
 
 
 class TestExecuteJob:

@@ -2,9 +2,9 @@
 
 The service answers a prediction through the learner's production
 generation lane (``SnakePrefetcher._generate_raw``).  ``scalar_peek``
-below is the reference it must match: the generation half of the
-learner's ``batched=False`` oracle, one CAM search per hop.  Neither
-read may move the state digest.
+below is the reference it must match: the naive generation functions of
+``tests/core/reference_snake.py``, one CAM search per hop.  Neither read
+may move the state digest.
 """
 
 import pytest
@@ -13,6 +13,12 @@ from repro.core.snake import SnakePrefetcher
 from repro.prefetch.base import AccessEvent
 from repro.serve import suite_events
 from repro.serve.state import ServeConfig, ServiceState, peek_predictions
+
+from ..core.reference_snake import (
+    chain_requests,
+    inter_warp_requests,
+    intra_requests,
+)
 
 
 def scalar_peek(learner, warp, pc, addr, app=0):
@@ -27,11 +33,11 @@ def scalar_peek(learner, warp, pc, addr, app=0):
     try:
         requests = []
         if learner.use_chains:
-            requests.extend(learner._chain_requests(event))
+            requests.extend(chain_requests(learner, event))
         if learner.use_intra:
-            requests.extend(learner._intra_requests(event))
+            requests.extend(intra_requests(learner, event))
         if learner.use_inter_warp:
-            requests.extend(learner._inter_warp_requests(event))
+            requests.extend(inter_warp_requests(learner, event))
     finally:
         learner.tail.lookups = saved
     seen = set()

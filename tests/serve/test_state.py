@@ -273,7 +273,7 @@ def test_config_rejects_nonsense(kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Batched drain lane (ServiceState.apply_batch)
+# Sweep drains (ServiceState.apply_batch)
 
 
 def _burst_records(seed, count, clients):
@@ -335,8 +335,7 @@ def test_apply_batch_matches_sequential_apply(seed):
 
 def test_apply_batch_routes_faulting_learner_through_scalar_path():
     """A planted non-Snake learner (the breaker tests' idiom) must fault
-    and degrade exactly as under sequential apply — the batch lane only
-    accepts runs it can prove equivalent."""
+    and degrade exactly as under sequential apply."""
     config = ServeConfig(shards=2, breaker_threshold=1, breaker_cooldown=50)
     a, b = ServiceState(config), ServiceState(config)
     for state in (a, b):

@@ -9,10 +9,6 @@
 * Every simlint rule id (``repro.lint.registry.catalog()``) must be
   documented in docs/STATIC_ANALYSIS.md with a bad/good example — a rule
   that fails builds without an explanation is not enforceable.
-* Every field of the ``BENCH_<date>.json`` schema
-  (``repro.bench.schema``) must be mentioned in docs/PERFORMANCE.md —
-  the payload is a committed artifact people diff in review, so an
-  undocumented field is schema drift.
 
 Run from the repository root::
 
@@ -38,7 +34,6 @@ CLI_SURFACE = {
     "chaos": ("--sites", "--delay-cycles", "--runner", "--runner-jobs"),
     "lint": ("--rule", "--baseline", "--json", "--update-baseline",
              "--sarif", "--changed"),
-    "bench": ("--quick", "--check", "--tolerance", "--legacy-loop"),
     "serve": ("--loadgen", "--chaos", "--queue-depth", "--deadline",
               "--frame-timeout", "--idle-timeout", "--snapshot-every",
               "--fsync", "--max-sessions", "--chaos-seed", "--no-kill"),
@@ -107,21 +102,6 @@ def missing_rule_family_docs(repo_root: Path) -> "list[str]":
     return [family for family in families if family not in doc]
 
 
-def missing_bench_schema_docs(repo_root: Path) -> "list[str]":
-    sys.path.insert(0, str(repo_root / "src"))
-    try:
-        from repro.bench.schema import CASE_FIELDS, TOP_FIELDS
-    finally:
-        sys.path.pop(0)
-    doc_path = repo_root / "docs" / "PERFORMANCE.md"
-    doc = doc_path.read_text() if doc_path.exists() else ""
-    missing = []
-    for field in sorted(set(TOP_FIELDS) | set(CASE_FIELDS)):
-        if "`%s`" % field not in doc:
-            missing.append(field)
-    return missing
-
-
 def main() -> int:
     repo_root = Path(__file__).resolve().parent.parent
     status = 0
@@ -157,14 +137,6 @@ def main() -> int:
         status = 1
     else:
         print("docs/STATIC_ANALYSIS.md names every simlint rule family")
-    missing = missing_bench_schema_docs(repo_root)
-    if missing:
-        print("BENCH schema fields not mentioned in docs/PERFORMANCE.md:")
-        for name in missing:
-            print("  " + name)
-        status = 1
-    else:
-        print("docs/PERFORMANCE.md mentions every BENCH schema field")
     return status
 
 
