@@ -12,15 +12,12 @@ quarter of the table, evict the entry with the fewest set bits in its warp-id
 vector.  The popcount-only variant (Fig 22) is selectable.
 
 The store is a CAM indexed by PC1: entries live both in a store-ordered list
-(snapshot order, eviction scans) and in a per-PC1 bucket index, with the
-walk-relevant fields (stride / train / warp-vector / popcount — the link,
-confidence and delta columns) mirrored into preallocated numpy columns in
-tables large enough to read them (``capacity >= _NP_MIN``).
-:meth:`walk_raw` consumes those columns to fan out and transitively walk a
-whole variable-length chain per trigger in one call, mirroring the
-raw-arguments convention of ``repro.gpusim.coalescer.coalesce_lines``.
-Anything that mutates entries behind the table's back (the fault injector)
-must call :meth:`mark_dirty` to invalidate the column mirror.
+(snapshot order, eviction scans) and in a per-PC1 bucket index.
+:meth:`walk_raw` reads the buckets to fan out and transitively walk a whole
+variable-length chain per trigger in one call, mirroring the raw-arguments
+convention of ``repro.gpusim.coalescer.coalesce_lines``.  The index holds the
+entry objects themselves, so in-place field mutation (the fault injector's
+corruptions) is seen by the next walk.
 """
 
 from __future__ import annotations
@@ -30,20 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from .head_table import SNAPSHOT_VERSION
-
-#: Column values beyond this magnitude (far outside any modelled address
-#: space; reachable only through compounded fault corruption) would risk
-#: int64 overflow in vectorized arithmetic, so the walk falls back to the
-#: exact python path while any are present.
-_COL_BOUND = 1 << 52
-
-#: Minimum PC-bucket size for the vectorized column reads to beat plain
-#: attribute access (numpy call overhead dominates below this); both sides
-#: of the threshold produce identical results.
-_NP_MIN = 16
 
 
 class TrainState(enum.Enum):
@@ -72,21 +56,13 @@ class TailEntry:
     inter_warp_stride: Optional[int] = None
     last_use: int = 0
     _intra_votes: dict = field(default_factory=dict, repr=False)
-    #: Row slot in the owning table's column mirror (not entry state).
-    _row: int = field(default=-1, repr=False, compare=False)
-
-    def set_warp(self, warp_id: int) -> None:
-        self.warp_vector |= 1 << (warp_id % 64)
-
-    def clear_warp(self, warp_id: int) -> None:
-        self.warp_vector &= ~(1 << (warp_id % 64))
 
     def has_warp(self, warp_id: int) -> bool:
         return bool(self.warp_vector >> (warp_id % 64) & 1)
 
     @property
     def popcount(self) -> int:
-        return bin(self.warp_vector).count("1")
+        return self.warp_vector.bit_count()
 
 
 class TailTable:
@@ -109,22 +85,8 @@ class TailTable:
         self._tick = 0
         self.lookups = 0
         self.evictions = 0
-        # CAM index + numpy column mirror (see module docstring).
+        # CAM index (see module docstring).
         self._pc_index: Dict[int, List[TailEntry]] = {}
-        self._pc_rows: Dict[int, np.ndarray] = {}
-        self._free_rows: List[int] = list(range(capacity - 1, -1, -1))
-        # walk_raw reads the columns only for a bucket of >= _NP_MIN
-        # entries, and len(bucket) <= len(entries) <= capacity, so a
-        # smaller table (the paper's 10 entries) never reads them: it
-        # neither allocates nor writes the mirror.
-        self._mirror = capacity >= _NP_MIN
-        if self._mirror:
-            self._col_stride = np.zeros(capacity, dtype=np.int64)
-            self._col_train = np.zeros(capacity, dtype=np.uint8)
-            self._col_wv = np.zeros(capacity, dtype=np.uint64)
-            self._col_pop = np.zeros(capacity, dtype=np.int16)
-        self._wide = False
-        self._dirty = False
 
     # ------------------------------------------------------------------
 
@@ -139,46 +101,11 @@ class TailTable:
         entry.last_use = self._tick
 
     # ------------------------------------------------------------------
-    # CAM index / column mirror maintenance
-
-    def mark_dirty(self) -> None:
-        """Invalidate the column mirror after out-of-band entry mutation
-        (fault injection mutates :class:`TailEntry` fields in place)."""
-        self._dirty = True
-
-    def _sync(self, entry: TailEntry) -> None:
-        """Write one entry's walk-relevant fields through to the columns."""
-        row = entry._row
-        stride = entry.inter_thread_stride
-        wv = entry.warp_vector
-        if -_COL_BOUND < stride < _COL_BOUND and 0 <= wv < (1 << 64):
-            self._col_stride[row] = stride
-            self._col_wv[row] = wv
-        else:
-            self._wide = True
-        self._col_train[row] = 0 if entry.t1 is TrainState.NOT_TRAINED else 1
-        self._col_pop[row] = min(bin(wv).count("1"), 64) if wv >= 0 else 0
-
-    def _rebuild(self) -> None:
-        """Recompute the PC index and column mirror from the entry list."""
-        self._pc_index.clear()
-        self._pc_rows.clear()
-        self._wide = False
-        for row, entry in enumerate(self._entries):
-            entry._row = row
-            self._pc_index.setdefault(entry.pc1, []).append(entry)
-            if self._mirror:
-                self._sync(entry)
-        self._free_rows = list(range(self.capacity - 1, len(self._entries) - 1, -1))
-        self._dirty = False
+    # CAM index maintenance
 
     def _install(self, entry: TailEntry) -> None:
         self._entries.append(entry)
         self._pc_index.setdefault(entry.pc1, []).append(entry)
-        self._pc_rows.pop(entry.pc1, None)
-        entry._row = self._free_rows.pop()
-        if self._mirror:
-            self._sync(entry)
 
     def _remove(self, entry: TailEntry) -> None:
         for i, candidate in enumerate(self._entries):
@@ -192,18 +119,6 @@ class TailTable:
                 break
         if not bucket:
             self._pc_index.pop(entry.pc1, None)
-        self._pc_rows.pop(entry.pc1, None)
-        self._free_rows.append(entry._row)
-
-    def _rows_for(self, pc: int) -> np.ndarray:
-        rows = self._pc_rows.get(pc)
-        if rows is None:
-            bucket = self._pc_index.get(pc, ())
-            rows = np.fromiter(
-                (e._row for e in bucket), dtype=np.intp, count=len(bucket)
-            )
-            self._pc_rows[pc] = rows
-        return rows
 
     # ------------------------------------------------------------------
 
@@ -233,7 +148,7 @@ class TailTable:
         self, pc: int, base_addr: int, warp_id: int, depth_limit: int
     ) -> List[Tuple[int, int]]:
         """Fan out and transitively walk the chain rooted at ``pc`` in one
-        call over the column mirror; returns ``(target_addr, depth)`` pairs.
+        call over the CAM index; returns ``(target_addr, depth)`` pairs.
 
         Raw-arguments API (mirrors ``coalesce_lines``): no event object, no
         per-hop CAM calls.  The result — including request order and the
@@ -241,9 +156,6 @@ class TailTable:
         property tests to a naive walk with one :meth:`find` per hop
         (``tests/core/reference_snake.py``).
         """
-        if self._dirty:
-            self._rebuild()
-        use_np = not self._wide and -_COL_BOUND < base_addr < _COL_BOUND
         idx_get = self._pc_index.get
         not_trained = TrainState.NOT_TRAINED
         lookups = 1
@@ -251,67 +163,30 @@ class TailTable:
         out: List[Tuple[int, int]] = []
         # Depth-1 fan-out: every trained link out of the trigger PC (§3.4) —
         # one CAM search in the reference walk.
-        bucket = idx_get(pc)
-        if bucket:
-            if use_np and len(bucket) >= _NP_MIN:
-                rows = self._rows_for(pc)
-                trained = rows[self._col_train[rows] != 0]
-                if trained.size:
-                    for target in (
-                        base_addr + self._col_stride[trained]
-                    ).tolist():
-                        if target >= 0:
-                            out.append((target, 1))
-            else:
-                for entry in bucket:
-                    if entry.t1 is not not_trained:
-                        target = base_addr + entry.inter_thread_stride
-                        if target >= 0:
-                            out.append((target, 1))
+        for entry in idx_get(pc, ()):
+            if entry.t1 is not not_trained:
+                target = base_addr + entry.inter_thread_stride
+                if target >= 0:
+                    out.append((target, 1))
 
-        # Transitive walk along the best-confirmed link per hop.  The numpy
-        # shift operand is only worth constructing when some bucket could
-        # clear the _NP_MIN threshold (bucket size <= table size).
-        wmod = warp_id % 64
-        warp_bit = 1 << wmod
-        if use_np and len(self._entries) >= _NP_MIN:
-            shift = np.uint64(wmod)
-        else:
-            use_np = False
+        # Transitive walk along the best-confirmed link per hop.
+        warp_bit = 1 << (warp_id % 64)
         cur_pc, addr = pc, base_addr
         visited = set()
         for depth in range(1, depth_limit + 1):
             # One CAM search per hop attempt in the reference walk.
             lookups += 1
-            bucket = idx_get(cur_pc)
             best: Optional[TailEntry] = None
-            if bucket:
-                if use_np and len(bucket) >= _NP_MIN:
-                    rows = self._rows_for(cur_pc)
-                    train = self._col_train[rows]
-                    key = (
-                        ((self._col_wv[rows] >> shift) & np.uint64(1)).astype(
-                            np.int64
-                        )
-                        << 8
-                    ) + self._col_pop[rows]
-                    key[train == 0] = -1
-                    pick = int(np.argmax(key))
-                    if key[pick] >= 0:
-                        best = bucket[pick]
-                else:
-                    # The (warp-bit, popcount) tuple key flattened to one int:
-                    # popcount <= 64 < 256, so the bit dominates and strict
-                    # ordering is preserved.
-                    best_key = -1
-                    for entry in bucket:
-                        if entry.t1 is not not_trained:
-                            wv = entry.warp_vector
-                            key2 = (256 if wv & warp_bit else 0) + bin(
-                                wv
-                            ).count("1")
-                            if key2 > best_key:
-                                best, best_key = entry, key2
+            # The (warp-bit, popcount) tuple key flattened to one int:
+            # popcount <= 64 < 256, so the bit dominates and strict
+            # ordering is preserved.
+            best_key = -1
+            for entry in idx_get(cur_pc, ()):
+                if entry.t1 is not not_trained:
+                    wv = entry.warp_vector
+                    key = (256 if wv & warp_bit else 0) + wv.bit_count()
+                    if key > best_key:
+                        best, best_key = entry, key
             if best is None or (best.pc1, best.pc2) in visited:
                 break
             visited.add((best.pc1, best.pc2))
@@ -359,8 +234,6 @@ class TailTable:
                 entry.warp_vector &= ~warp_bit
                 if entry.warp_vector == 0:
                     entry.t1 = TrainState.NOT_TRAINED
-                if self._mirror:
-                    self._sync(entry)
 
         if match is None:
             match = TailEntry(pc1=pc1, pc2=pc2, inter_thread_stride=stride)
@@ -370,7 +243,7 @@ class TailTable:
 
         match.warp_vector |= warp_bit
         self._touch(match)
-        popcount = bin(match.warp_vector).count("1")
+        popcount = match.warp_vector.bit_count()
         if (
             match.t1 is TrainState.NOT_TRAINED
             and popcount >= self.train_threshold
@@ -378,8 +251,6 @@ class TailTable:
             match.t1 = TrainState.PROMOTED
         elif match.t1 is TrainState.PROMOTED and popcount > self.train_threshold:
             match.t1 = TrainState.TRAINED
-        if self._mirror:
-            self._sync(match)
         return match
 
     def record_intra(self, warp_id: int, pc: int, stride: int) -> None:
@@ -436,8 +307,8 @@ class TailTable:
         Entries keep their store order and each entry's intra-stride vote
         map is emitted as ``[stride, sorted(voters)]`` pairs in vote
         insertion order, so identical update sequences serialize to
-        byte-identical snapshots.  The PC index and column mirror are
-        derived state and never serialized.
+        byte-identical snapshots.  The PC index is derived state and never
+        serialized.
         """
         return {
             "v": SNAPSHOT_VERSION,
@@ -471,9 +342,8 @@ class TailTable:
     def restore(cls, data: Mapping[str, Any]) -> "TailTable":
         """Rebuild a table from :meth:`snapshot` output (exact state:
         entry order, train states, vote sets, LRU ticks and counters; the
-        PC index and, where the table keeps one, the numpy column mirror
-        are rebuilt entry by entry so the restored table walks — and
-        re-snapshots — byte-identically)."""
+        PC index is rebuilt entry by entry so the restored table walks —
+        and re-snapshots — byte-identically)."""
         if data.get("v") != SNAPSHOT_VERSION:
             raise ValueError(
                 "unsupported TailTable snapshot version %r" % (data.get("v"),)
@@ -544,9 +414,10 @@ class TailTable:
                     "%s entry (%#x->%#x) carries a non-TrainState encoding"
                     % (label, entry.pc1, entry.pc2)
                 )
-        # Chain-walk termination: mirror the production walker (first
-        # prefetchable link per PC, visited-pair cycle guard) and bound the
-        # hop count by the entry count.
+        # Chain-walk termination: the visited-pair guard admits at most one
+        # hop per distinct (pc1, pc2) entry whichever link a walker picks
+        # at each PC, so taking the first prefetchable link is enough to
+        # bound the hop count by the entry count.
         bound = len(self._entries)
         for start in sorted({e.pc1 for e in self._entries}):
             pc = start

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .trace import WarpInstr
 
 
@@ -46,17 +44,8 @@ def _expand_pattern(
         # Monotonic fast path.  Each thread touches the contiguous line
         # range [line_of(start), line_of(start + size - 1)] and successive
         # threads start no earlier, so the first-seen emission order of the
-        # generic scan below is simply ascending line order.
-        if size_bytes <= line_bytes:
-            # Each thread touches at most two lines: vectorize the
-            # per-thread first/last lines and dedupe in one sorted pass.
-            starts = rem + np.arange(warp_size) * stride
-            firsts = starts - starts % line_bytes
-            ends = starts + (size_bytes - 1)
-            ends -= ends % line_bytes
-            merged = np.unique(np.concatenate((firsts, ends)))
-            return merged.tolist()
-        # Wide accesses: merge the per-thread contiguous ranges in order.
+        # generic scan below is simply ascending line order, and merging the
+        # per-thread ranges in thread order dedupes them.
         lines: List[int] = []
         last: Optional[int] = None
         for t in range(warp_size):

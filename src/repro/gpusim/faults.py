@@ -248,8 +248,6 @@ class FaultInjector:
         else:
             entry.t1 = TrainState.TRAINED
             detail = "t1 force-trained"
-        # The mutation bypassed the table's write-through column mirror.
-        tail.mark_dirty()
         self.record("snake.tail_corrupt", now, sm_id, detail)
         return True
 

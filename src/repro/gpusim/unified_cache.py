@@ -464,7 +464,7 @@ class UnifiedL1Cache:
         sector = self._sector_bytes
         if not sector or sector_mask == -1:
             return None
-        return max(sector, bin(sector_mask & ((1 << 64) - 1)).count("1") * sector)
+        return max(sector, (sector_mask & ((1 << 64) - 1)).bit_count() * sector)
 
     def _unloaded_round_trip(self) -> int:
         """Queue-free demand latency: request hop + L2/DRAM service + the

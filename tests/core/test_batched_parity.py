@@ -142,7 +142,6 @@ class TestLearnerParity:
                         entry.warp_vector = scrambled
                     else:
                         entry.t1 = TrainState.TRAINED
-                    learner.tail.mark_dirty()
             got = [(r.base_addr, r.depth) for r in production.observe(event)]
             want = [(r.base_addr, r.depth) for r in reference.observe(event)]
             assert got == want
@@ -153,7 +152,7 @@ class TestLearnerParity:
     def test_snapshot_roundtrip_preserves_batched_state(self, params,
                                                         tail_entries):
         """snapshot -> restore -> snapshot is byte-stable for the
-        numpy-backed tables, and a restored learner continues the stream
+        CAM-indexed tables, and a restored learner continues the stream
         exactly like the original (both lanes)."""
         events = _stream(*params)
         half = len(events) // 2
@@ -240,7 +239,6 @@ class TestRawLaneParity:
                             entry.warp_vector = scrambled
                         else:
                             entry.t1 = TrainState.TRAINED
-                        tail.mark_dirty()
             event = AccessEvent(
                 warp_id=warp, cta_id=0, pc=pc, base_addr=addr,
                 line_addr=addr, now=now, divergent=divergent, app_id=app,

@@ -353,7 +353,7 @@ def test_apply_batch_routes_faulting_learner_through_scalar_path():
 
 
 def test_snapshot_roundtrip_after_batched_traffic():
-    """The serve snapshot must round-trip the numpy-backed learner
+    """The serve snapshot must round-trip the CAM-indexed learner
     tables byte-identically after batched traffic (the chaos recovery
     certificate's foundation)."""
     state = ServiceState(ServeConfig(shards=2))
