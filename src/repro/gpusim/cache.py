@@ -295,12 +295,6 @@ class MSHR:
     def occupancy(self) -> int:
         return len(self._inflight)
 
-    @property
-    def next_fill_at(self) -> Optional[int]:
-        """Earliest-fill horizon lower bound (heap head), or None when no
-        fill is in flight — lets batch callers skip no-op commit sweeps."""
-        return self._fill_heap[0][0] if self._fill_heap else None
-
     def allocate(
         self, line_addr: int, fill_time: int, is_prefetch: bool = False
     ) -> MSHREntry:

@@ -36,11 +36,6 @@ class Interconnect:
         # read in the throttle path.
         self._recent_bytes = 0
         self._window_peak = window * bytes_per_cycle
-        # Per-cycle memo for ``measured_utilization``: at a fixed ``now``
-        # the value only changes when a send lands in the window, so the
-        # memo is invalidated on every send.
-        self._util_now = -1
-        self._util_value = 0.0
 
     def send(self, now: int, nbytes: int, priority: bool = False) -> int:
         """Schedule a transfer; returns its arrival time at the far side.
@@ -64,23 +59,17 @@ class Interconnect:
         self.bytes_transferred += nbytes
         self._recent.append((start, nbytes))
         self._recent_bytes += nbytes
-        self._util_now = -1
         return start + busy + self.latency
 
     def measured_utilization(self, now: int) -> float:
         """Fraction of peak bandwidth used over the trailing window — the
         throttle's trigger metric."""
-        if now == self._util_now:
-            return self._util_value
         horizon = now - self.window
         recent = self._recent
         while recent and recent[0][0] < horizon:
             self._recent_bytes -= recent.popleft()[1]
         peak = self._window_peak
-        value = min(1.0, self._recent_bytes / peak) if peak else 0.0
-        self._util_now = now
-        self._util_value = value
-        return value
+        return min(1.0, self._recent_bytes / peak) if peak else 0.0
 
     def peak_bytes(self, cycles: int) -> int:
         """Theoretical capacity over a run of ``cycles``."""

@@ -25,7 +25,9 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Deque, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.obs.events import (
     BusLike,
@@ -37,7 +39,7 @@ from repro.obs.events import (
     ThrottleEvent,
 )
 
-from .cache import LineState, MSHR, SetAssocCache
+from .cache import LineState, MSHR, MSHREntry, SetAssocCache
 from .config import CacheConfig, GPUConfig
 from .faults import FaultInjector
 from .interconnect import Interconnect
@@ -98,6 +100,10 @@ class UnifiedL1Cache:
         self._l1_latency = config.l1.latency
         self._replay_interval = config.replay_interval
         self._sector_bytes = config.l1_sector_bytes
+        # Leave headroom for demand misses: prefetches may not take the last
+        # quarter of the MSHR nor the last miss-queue slot.
+        self._pf_mshr_cap = max(1, (config.mshr_entries * 3) // 4)
+        self._pf_queue_cap = max(1, config.miss_queue_depth - 1)
 
         if mode is StorageMode.ISOLATED:
             side = CacheConfig(
@@ -503,14 +509,18 @@ class UnifiedL1Cache:
                 "l1.evict_storm", now, self._sm_id,
                 "evicted %d prefetched lines" % evicted,
             )
-        resident = self._store.lookup(line_addr)
-        if resident is None and self._side_buffer is not None:
-            resident = self._side_buffer.lookup(line_addr)
-        if resident is not None:
-            # Already cached: the prediction was correct — remember it so the
-            # demand access counts toward coverage (the paper's metric counts
-            # correctly predicted addresses, §4).
-            resident.predicted = True
+        duplicate: Optional[Union[LineState, MSHREntry]] = (
+            self._store.lookup(line_addr)
+        )
+        if duplicate is None and self._side_buffer is not None:
+            duplicate = self._side_buffer.lookup(line_addr)
+        if duplicate is None:
+            duplicate = self._mshr.lookup(line_addr)
+        if duplicate is not None:
+            # Already cached or in flight: the prediction was correct —
+            # remember it so the demand access counts toward coverage (the
+            # paper's metric counts correctly predicted addresses, §4).
+            duplicate.predicted = True
             self.stats.prefetch.dropped_duplicate += 1
             if self._obs.enabled:
                 self._obs.emit(
@@ -520,27 +530,11 @@ class UnifiedL1Cache:
                     )
                 )
             return False
-        inflight = self._mshr.lookup(line_addr)
-        if inflight is not None:
-            inflight.predicted = True
-            self.stats.prefetch.dropped_duplicate += 1
-            if self._obs.enabled:
-                self._obs.emit(
-                    PrefetchDropEvent(
-                        cycle=now, sm_id=self._sm_id, line_addr=line_addr,
-                        reason="duplicate",
-                    )
-                )
-            return False
-        # Leave headroom for demand misses: prefetches may not take the last
-        # quarter of the MSHR nor the last miss-queue slot.
-        mshr_cap = max(1, (self.config.mshr_entries * 3) // 4)
-        queue_cap = max(1, self.config.miss_queue_depth - 1)
-        while self._miss_queue and self._miss_queue[0] <= now:
-            self._miss_queue.popleft()
+        # _commit_fills(now) above already retired every miss-queue slot
+        # accepted by ``now``, so the queue length is current here.
         refused = (
-            self._mshr.occupancy >= mshr_cap
-            or len(self._miss_queue) >= queue_cap
+            self._mshr.occupancy >= self._pf_mshr_cap
+            or len(self._miss_queue) >= self._pf_queue_cap
         )
         reason = "headroom"
         if (
@@ -607,8 +601,9 @@ class UnifiedL1Cache:
         request and one for each remaining request (each would be refused
         again with the same inputs); otherwise each line emits its
         ``PrefetchDropEvent`` or, once sent, a ``PrefetchIssueEvent``.
-        With a fault injector armed the line issue delegates to scalar
-        :meth:`prefetch` so chaos RNG draws keep their per-line cadence.
+        Every line of a request that passed the vote goes through
+        :meth:`prefetch`, the one per-line admission path, so fault-armed
+        and plain runs execute the same code.
         """
         stats_pf = self.stats.prefetch
         pf_store = self._pf_store
@@ -616,16 +611,6 @@ class UnifiedL1Cache:
         resp_util = self._icnt_resp.measured_utilization
         allow = throttle.allow
         prefetch = self.prefetch
-        faults = self._faults
-        store_get = self._store._flat.get
-        side = self._side_buffer
-        mshr = self._mshr
-        mshr_get = mshr._inflight.get
-        inflight_file = mshr._inflight
-        fill_heap = mshr._fill_heap
-        miss_queue = self._miss_queue
-        mshr_cap = max(1, (self.config.mshr_entries * 3) // 4)
-        queue_cap = max(1, self.config.miss_queue_depth - 1)
         obs = self._obs
         observing = obs.enabled
         sm_id = self._sm_id
@@ -661,65 +646,8 @@ class UnifiedL1Cache:
                 need_vote = False
                 sent_since_vote = False
             sent_any = False
-            if faults is not None:
-                # Every line must reach prefetch() so chaos RNG draws keep
-                # their cadence — no short-circuit on first send.
-                for line_addr in vector:
-                    if prefetch(line_addr, issue_at):
-                        sent_any = True
-                        if observing:
-                            obs.emit(PrefetchIssueEvent(
-                                cycle=issue_at, sm_id=sm_id, pc=pc,
-                                line_addr=line_addr, depth=requests[index][1],
-                            ))
-            else:
-                for line_addr in vector:
-                    # prefetch() commits fills before every line; this guard
-                    # replicates _commit_fills' own early-exit inline.
-                    if (fill_heap and fill_heap[0][0] <= issue_at) or (
-                        miss_queue and miss_queue[0] <= issue_at
-                    ):
-                        self._commit_fills(issue_at)
-                    resident = store_get(line_addr)
-                    if resident is None and side is not None:
-                        resident = side.lookup(line_addr)
-                    if resident is not None:
-                        resident.predicted = True
-                        stats_pf.dropped_duplicate += 1
-                        if observing:
-                            obs.emit(PrefetchDropEvent(
-                                cycle=issue_at, sm_id=sm_id,
-                                line_addr=line_addr, reason="duplicate",
-                            ))
-                        continue
-                    inflight = mshr_get(line_addr)
-                    if inflight is not None:
-                        inflight.predicted = True
-                        stats_pf.dropped_duplicate += 1
-                        if observing:
-                            obs.emit(PrefetchDropEvent(
-                                cycle=issue_at, sm_id=sm_id,
-                                line_addr=line_addr, reason="duplicate",
-                            ))
-                        continue
-                    while miss_queue and miss_queue[0] <= issue_at:
-                        miss_queue.popleft()
-                    if (
-                        len(inflight_file) >= mshr_cap
-                        or len(miss_queue) >= queue_cap
-                    ):
-                        stats_pf.dropped_throttled += 1
-                        if observing:
-                            obs.emit(PrefetchDropEvent(
-                                cycle=issue_at, sm_id=sm_id,
-                                line_addr=line_addr, reason="headroom",
-                            ))
-                        continue
-                    fill_time = self._send_to_l2(
-                        line_addr, issue_at, is_write=False, is_prefetch=True
-                    )
-                    mshr.allocate(line_addr, fill_time, is_prefetch=True)
-                    stats_pf.issued += 1
+            for line_addr in vector:
+                if prefetch(line_addr, issue_at):
                     sent_any = True
                     if observing:
                         obs.emit(PrefetchIssueEvent(

@@ -9,15 +9,18 @@ path"):
 * ``table-walk`` — the learner side: ``observe`` / ``observe_raw``
   (Head-table update, Tail CAM search, chain walk, request generation);
 * ``issue``      — the L1 prefetch admission path
-  (``prefetch_trigger`` / ``prefetch``);
+  (``prefetch_trigger``, which runs every line through ``prefetch``);
 * ``coalesce``   — warp-access-to-line flattening
   (``coalesce`` / ``coalesce_lines`` / ``coalesce_sectors``);
 * ``cache``      — the demand side (``demand_load`` / ``demand_store``).
 
 The buckets are disjoint by construction: the learner never calls into
 the L1, the issue path receives already-coalesced lines, and demand
-traffic bypasses all three others.  Whatever they do not cover is
-reported as ``other`` (scheduling, the event core, trace bookkeeping).
+traffic bypasses all three others.  Only the outermost method of each
+bucket is wrapped: ``prefetch`` runs nested inside ``prefetch_trigger``,
+so metering it too would count its time twice.  Whatever the buckets do
+not cover is reported as ``other`` (scheduling, the event core, trace
+bookkeeping).
 
 This module lives in the wall-clock domain — ``time.perf_counter`` is
 the measurement, so it sits outside the SL101 determinism-lint scope.
@@ -35,7 +38,7 @@ from typing import Any, Callable, Dict, List, Tuple
 #: Attribution bucket -> the (component, method) pairs that feed it.
 HOT_BUCKETS: Tuple[Tuple[str, str], ...] = (
     ("table-walk", "prefetcher.observe / observe_raw"),
-    ("issue", "l1.prefetch_trigger / prefetch"),
+    ("issue", "l1.prefetch_trigger"),
     ("coalesce", "sm.coalesce / coalesce_lines / coalesce_sectors"),
     ("cache", "l1.demand_load / demand_store"),
 )
@@ -180,7 +183,6 @@ def hot_profile_run(
         if core._pf_observe_raw is not None:
             core._pf_observe_raw = core.prefetcher.observe_raw
         _wrap(core.l1, "prefetch_trigger", issue)
-        _wrap(core.l1, "prefetch", issue)
         _wrap(core.l1, "demand_load", cache)
         _wrap(core.l1, "demand_store", cache)
 

@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.snake import SnakePrefetcher
-from repro.prefetch.base import AccessEvent
 from repro.prefetch.stride import StrideTracker
 
 STATE_VERSION = 1
@@ -381,19 +380,10 @@ class ServiceState:
         )
         try:
             learner = session.shards[shard_index]
-            if type(learner) is SnakePrefetcher:
-                learner_predictions = [
-                    target for target, _ in
-                    learner.observe_raw(warp, pc, addr, app, False, self.seq)
-                ]
-            else:
-                # A learner planted by a test keeps the generic lane.
-                learner_predictions = [
-                    r.base_addr for r in learner.observe(AccessEvent(
-                        warp_id=warp, cta_id=0, pc=pc, base_addr=addr,
-                        line_addr=addr, now=self.seq, app_id=app,
-                    ))
-                ]
+            learner_predictions = [
+                target for target, _ in
+                learner.observe_raw(warp, pc, addr, app, False, self.seq)
+            ]
             if session.applied % self.config.audit_every == 0:
                 violations: List[str] = []
                 for app_id, head, tail in learner.tables():

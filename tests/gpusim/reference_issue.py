@@ -1,9 +1,10 @@
 """Naive reference for the SM's L1 prefetch issue lane.
 
 Production hands a trigger's whole candidate vector to
-``UnifiedL1Cache.prefetch_trigger``, which memoizes the throttle vote and
-inlines the per-line admission checks.  The reference below is the
-original shape: per request, read the NoC utilization and ask the
+``UnifiedL1Cache.prefetch_trigger``, which memoizes the throttle vote
+across the trigger's requests and sends every line of a request that
+passed it through ``UnifiedL1Cache.prefetch``.  The reference below is
+the original shape: per request, read the NoC utilization and ask the
 throttle; on a refusal count one throttled drop (and emit one
 ``ThrottleEvent``); otherwise coalesce the request and call
 ``UnifiedL1Cache.prefetch`` once per line, emitting a

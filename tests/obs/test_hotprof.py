@@ -19,6 +19,9 @@ def test_snake_run_meters_table_walk_and_issue():
     for name in ("table-walk", "issue", "coalesce", "cache"):
         assert buckets[name].calls > 0, name
         assert buckets[name].seconds > 0, name
+    # At most one issue call per observed load: prefetch() runs nested
+    # inside prefetch_trigger and must not be metered a second time.
+    assert buckets["issue"].calls <= buckets["table-walk"].calls
     assert 0 < profile.attributed_s <= profile.wall_s
     plain = simulate(build_kernel("lps", scale=0.1, seed=1),
                      prefetcher="snake", config=GPUConfig.scaled())

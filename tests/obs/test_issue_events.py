@@ -1,8 +1,9 @@
 """The L1 issue lane emits the naive reference's event stream.
 
-``UnifiedL1Cache.prefetch_trigger`` emits its own throttle, drop and
-issue events while it memoizes the throttle vote and inlines the
-per-line admission checks.  With the bus enabled, the full ordered event
+``UnifiedL1Cache.prefetch_trigger`` emits its own throttle and issue
+events while it memoizes the throttle vote; each line's drop event comes
+from ``UnifiedL1Cache.prefetch``, which it calls once per line of every
+request that passed the vote.  With the bus enabled, the full ordered event
 list of a traced run must equal the one produced with the per-request,
 per-line reference lane (``tests/gpusim/reference_issue.py``) installed —
 with and without chaos faults, and on machines that make the throttle

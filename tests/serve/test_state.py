@@ -153,10 +153,10 @@ class _Boom(Exception):
 
 
 def _wound_shard(state, client, shard_index):
-    """Replace one shard's learner with an object that faults on observe."""
+    """Replace one shard's learner with one that faults in observe_raw."""
 
     class _Wounded:
-        def observe(self, event):
+        def observe_raw(self, *args):
             raise _Boom("synthetic shard fault")
 
         def tables(self):

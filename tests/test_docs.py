@@ -33,6 +33,15 @@ def test_docs_cover_the_cli_surface():
     assert missing_cli_docs(REPO_ROOT) == []
 
 
+def test_observability_docs_show_every_hot_bucket():
+    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    try:
+        from check_docs import missing_hot_bucket_docs
+    finally:
+        sys.path.pop(0)
+    assert missing_hot_bucket_docs(REPO_ROOT) == []
+
+
 def test_robustness_docs_cover_every_fault_site_and_invariant():
     from repro.gpusim.faults import SITES
 

@@ -9,6 +9,10 @@
 * Every simlint rule id (``repro.lint.registry.catalog()``) must be
   documented in docs/STATIC_ANALYSIS.md with a bad/good example — a rule
   that fails builds without an explanation is not enforceable.
+* Every ``profile --hot`` bucket (``repro.obs.hotprof.HOT_BUCKETS``)
+  must appear in docs/OBSERVABILITY.md's example table as a row that
+  starts with the bucket name and ends with its description — a bucket
+  whose wrapped methods change must not leave a stale example behind.
 
 Run from the repository root::
 
@@ -102,6 +106,25 @@ def missing_rule_family_docs(repo_root: Path) -> "list[str]":
     return [family for family in families if family not in doc]
 
 
+def missing_hot_bucket_docs(repo_root: Path) -> "list[str]":
+    sys.path.insert(0, str(repo_root / "src"))
+    try:
+        from repro.obs.hotprof import HOT_BUCKETS
+    finally:
+        sys.path.pop(0)
+    doc_path = repo_root / "docs" / "OBSERVABILITY.md"
+    doc = doc_path.read_text() if doc_path.exists() else ""
+    rows = [line.rstrip() for line in doc.splitlines() if line.strip()]
+    return [
+        "%s (no row ending in '%s')" % (name, what)
+        for name, what in HOT_BUCKETS
+        if not any(
+            row.split()[0] == name and row.endswith("  " + what)
+            for row in rows
+        )
+    ]
+
+
 def main() -> int:
     repo_root = Path(__file__).resolve().parent.parent
     status = 0
@@ -137,6 +160,14 @@ def main() -> int:
         status = 1
     else:
         print("docs/STATIC_ANALYSIS.md names every simlint rule family")
+    missing = missing_hot_bucket_docs(repo_root)
+    if missing:
+        print("profile --hot buckets not shown in docs/OBSERVABILITY.md:")
+        for name in missing:
+            print("  " + name)
+        status = 1
+    else:
+        print("docs/OBSERVABILITY.md shows every profile --hot bucket")
     return status
 
 
