@@ -651,28 +651,57 @@ def _run_runner_chaos(args) -> int:
                 print("  ! %-28s %s; %s; DIVERGED (ok=%s)"
                       % (plan.label(), fired, ledger, result.ok))
 
+        leaked = []
         if not args.quick:
-            mismatches += _runner_kill_resume(
+            diverged, leaked = _runner_kill_resume(
                 args, specs, reference_bytes, reference_csv, workdir,
                 canonical, figure_csv,
             )
+            mismatches += diverged
 
         print()
         verdict = "byte-identical under every plan" if not mismatches else (
             "%d scenario(s) DIVERGED" % mismatches
         )
+        if leaked:
+            verdict += ("; LEAKED pid(s) %s alive 10 s after the scheduler's"
+                        " SIGKILL" % " ".join(leaked))
         print("runner chaos: %d plan(s)%s, %s" % (
             len(plans), "" if args.quick else " + scheduler-kill/resume", verdict,
         ))
-        return 0 if not mismatches else 3
+        return 3 if mismatches else (1 if leaked else 0)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+def _outlivers(pgid: int, wait_s: float):
+    """PIDs (as strings) of process group ``pgid`` still running after up
+    to ``wait_s`` seconds.  Zombies (exited, never reaped) still answer
+    ``killpg``, so states are read from ``/proc`` (none found without it)."""
+    import time
+    from pathlib import Path
+
+    deadline = time.time() + wait_s
+    while True:
+        live = []
+        for stat in Path("/proc").glob("[0-9]*/stat"):
+            try:
+                fields = stat.read_text().rsplit(")", 1)[1].split()
+            except OSError:
+                continue  # exited while we looked
+            if fields[0] != "Z" and int(fields[2]) == pgid:
+                live.append(stat.parent.name)
+        if not live or time.time() > deadline:
+            return live
+        time.sleep(0.1)
+
+
 def _runner_kill_resume(args, specs, reference_bytes, reference_csv,
-                        workdir, canonical, figure_csv) -> int:
+                        workdir, canonical, figure_csv):
     """SIGKILL a real sweep subprocess mid-run, tear its checkpoint's
-    trailing record, then ``--resume``; returns 0 if byte-identical."""
+    trailing record, then ``--resume``.  Returns ``(diverged, leaked)``:
+    0 if byte-identical, and the PIDs that outlived the kill by 10 s."""
+    import contextlib
     import os
     import signal as signal_module
     import subprocess
@@ -697,21 +726,27 @@ def _runner_kill_resume(args, specs, reference_bytes, reference_csv,
         "--checkpoint", str(ck),
     ]
     proc = subprocess.Popen(
-        cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
-    # Kill the scheduler the instant the first record lands — maximally
-    # mid-sweep: some cells durable, some in flight, some unstarted.
-    deadline = time_module.time() + 300
-    while time_module.time() < deadline:
-        if ck.exists() and ck.read_bytes().count(b"\n") >= 1:
-            break
-        if proc.poll() is not None:
-            break
-        time_module.sleep(0.02)
-    killed_midway = proc.poll() is None
-    if killed_midway:
-        proc.send_signal(signal_module.SIGKILL)
-    proc.wait()
+    try:
+        # Kill the scheduler the instant the first record lands — maximally
+        # mid-sweep: some cells durable, some in flight, some unstarted.
+        deadline = time_module.time() + 300
+        while time_module.time() < deadline:
+            if ck.exists() and ck.read_bytes().count(b"\n") >= 1:
+                break
+            if proc.poll() is not None:
+                break
+            time_module.sleep(0.02)
+        killed_midway = proc.poll() is None
+        if killed_midway:
+            proc.send_signal(signal_module.SIGKILL)
+        proc.wait()
+        leaked = _outlivers(proc.pid, 10.0)  # its workers must follow it
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal_module.SIGKILL)
 
     torn = ck.exists()
     if torn:
@@ -739,9 +774,9 @@ def _runner_kill_resume(args, specs, reference_bytes, reference_csv,
     if identical and quarantine_ok:
         print("  . %-28s %s; byte-identical"
               % ("scheduler-kill+resume", "; ".join(status)))
-        return 0
+        return 0, leaked
     print("  ! %-28s %s; DIVERGED" % ("scheduler-kill+resume", "; ".join(status)))
-    return 1
+    return 1, leaked
 
 
 def _run_chaos_command(argv) -> int:

@@ -25,7 +25,7 @@ from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
 from repro.prefetch.stride import ConsensusTracker
 
 from .head_table import HeadTable, SNAPSHOT_VERSION
-from .tail_table import TailTable
+from .tail_table import TailTable, TrainState
 
 
 class SnakePrefetcher(Prefetcher):
@@ -128,17 +128,22 @@ class SnakePrefetcher(Prefetcher):
             self._intra_last[key] = base_addr
 
         if self.use_inter_warp:
-            slots = self._iw_last.setdefault((app_id, pc), [])
+            # Not setdefault: it would build its default on every call.
+            key = (app_id, pc)
+            slots = self._iw_last.get(key)
+            if slots is None:
+                slots = self._iw_last[key] = []
             for other_warp, addr in slots:
                 if other_warp == warp_id:
                     continue
                 gap = warp_id - other_warp
                 delta = base_addr - addr
-                if gap != 0 and delta % gap == 0:
-                    tracker = self._iw_consensus.setdefault(
-                        (app_id, pc),
-                        ConsensusTracker(threshold=self.train_threshold),
-                    )
+                if delta % gap == 0:
+                    tracker = self._iw_consensus.get(key)
+                    if tracker is None:
+                        tracker = self._iw_consensus[key] = ConsensusTracker(
+                            threshold=self.train_threshold
+                        )
                     trained = tracker.vote(warp_id, delta // gap)
                     if trained is not None:
                         tail.record_inter_warp(pc, trained)
@@ -174,33 +179,31 @@ class SnakePrefetcher(Prefetcher):
             # without its list copy).
             tail = self.tail
             tail.lookups += 1
+            not_trained = TrainState.NOT_TRAINED
             for entry in tail._pc_index.get(pc, ()):
-                if entry.t2.prefetchable and entry.intra_stride:
+                if entry.t2 is not not_trained and entry.intra_stride:
                     stride = entry.intra_stride
-                    pairs.extend(
-                        (base_addr + k * stride, k)
-                        for k in range(1, self.intra_degree + 1)
-                        if base_addr + k * stride >= 0
-                    )
+                    for k in range(1, self.intra_degree + 1):
+                        target = base_addr + k * stride
+                        if target >= 0:
+                            pairs.append((target, k))
                     break
         if self.use_inter_warp:
             tracker = self._iw_consensus.get((app_id, pc))
             if tracker is not None and tracker.trained_stride is not None:
                 stride = tracker.trained_stride
-                pairs.extend(
-                    (base_addr + k * stride, k)
-                    for k in range(1, self.inter_warp_degree + 1)
-                    if base_addr + k * stride >= 0
-                )
+                for k in range(1, self.inter_warp_degree + 1):
+                    target = base_addr + k * stride
+                    if target >= 0:
+                        pairs.append((target, k))
 
-        # Inter-thread first (higher accuracy, §3.4), then de-duplicate.
-        seen = set()
-        unique: List[Tuple[int, int]] = []
-        for pair in pairs:
-            addr = pair[0]
-            if addr not in seen:
-                seen.add(addr)
-                unique.append(pair)
+        # Inter-thread first (higher accuracy, §3.4), then de-duplicate:
+        # the first depth seen for an address wins.
+        first: Dict[int, int] = {}
+        for addr, depth in pairs:
+            if addr not in first:
+                first[addr] = depth
+        unique = list(first.items())
         if unique and self.obs.enabled:
             self.obs.emit(
                 ChainWalkEvent(

@@ -96,10 +96,6 @@ class TailTable:
     def entries(self) -> List[TailEntry]:
         return list(self._entries)
 
-    def _touch(self, entry: TailEntry) -> None:
-        self._tick += 1
-        entry.last_use = self._tick
-
     # ------------------------------------------------------------------
     # CAM index maintenance
 
@@ -242,7 +238,8 @@ class TailTable:
             self._install(match)
 
         match.warp_vector |= warp_bit
-        self._touch(match)
+        self._tick += 1
+        match.last_use = self._tick
         popcount = match.warp_vector.bit_count()
         if (
             match.t1 is TrainState.NOT_TRAINED
@@ -263,36 +260,47 @@ class TailTable:
         load is data-dependent) still deserves an intra-warp stride, so a
         self-link entry is created when no entry for the PC exists."""
         # Two CAM searches, as in the reference shape (existence probe +
-        # update scan); scanned in place to spare find()'s list copies.
-        self.lookups += 1
-        if not self._pc_index.get(pc):
+        # update scan); the bucket is scanned in place (no loop body adds
+        # or removes members) and the LRU tick advances in bucket order.
+        self.lookups += 2
+        bucket = self._pc_index.get(pc)
+        if not bucket:
             entry = TailEntry(pc1=pc, pc2=pc, inter_thread_stride=stride)
             if len(self._entries) >= self.capacity:
                 self._evict_one()
             self._install(entry)
-        self.lookups += 1
-        for entry in self._pc_index.get(pc, ()):
-            votes = entry._intra_votes.setdefault(stride, set())
+            bucket = self._pc_index[pc]
+        tick = self._tick
+        for entry in bucket:
+            by_stride = entry._intra_votes
+            votes = by_stride.get(stride)
+            if votes is None:
+                votes = by_stride[stride] = set()
             votes.add(warp_id)
             if entry.intra_stride == stride:
                 if len(votes) >= self.train_threshold:
                     entry.t2 = TrainState.TRAINED
-            elif len(votes) >= len(
-                entry._intra_votes.get(entry.intra_stride, set())
-            ):
+            elif len(votes) >= len(by_stride.get(entry.intra_stride, ())):
                 entry.intra_stride = stride
                 if len(votes) >= self.train_threshold:
                     entry.t2 = TrainState.TRAINED
                 elif entry.t2 is not TrainState.TRAINED:
                     entry.t2 = TrainState.NOT_TRAINED
-            self._touch(entry)
+            tick += 1
+            entry.last_use = tick
+        self._tick = tick
 
     def record_inter_warp(self, pc: int, stride: int) -> None:
         """Install a detected inter-warp stride (already consensus-checked by
-        the caller — no train field needed, per §3.1)."""
-        for entry in self.find(pc):
+        the caller — no train field needed, per §3.1).  One CAM search,
+        the bucket scanned in place as in :meth:`record_intra`."""
+        self.lookups += 1
+        tick = self._tick
+        for entry in self._pc_index.get(pc, ()):
             entry.inter_warp_stride = stride
-            self._touch(entry)
+            tick += 1
+            entry.last_use = tick
+        self._tick = tick
 
     @property
     def trained(self) -> bool:

@@ -78,9 +78,6 @@ class SetAssocCache:
         folded = line_no ^ (line_no >> 4) ^ (line_no >> 9) ^ (line_no >> 15)
         return folded % self._set_count
 
-    def _set_of(self, line_addr: int) -> "OrderedDict[int, LineState]":
-        return self._sets[self.set_index(line_addr)]
-
     def lookup(self, line_addr: int) -> Optional[LineState]:
         """Return the line's state without touching LRU order."""
         return self._flat.get(line_addr)
@@ -106,13 +103,6 @@ class SetAssocCache:
 
     def set_is_full(self, set_idx: int) -> bool:
         return len(self._sets[set_idx]) >= self.config.assoc
-
-    def count_in_set(self, set_idx: int, is_prefetch: bool) -> int:
-        return sum(
-            1
-            for line in self._sets[set_idx].values()
-            if line.is_prefetch == is_prefetch
-        )
 
     def lru_victim(self, set_idx: int) -> Optional[LineState]:
         cache_set = self._sets[set_idx]
@@ -355,14 +345,6 @@ class MSHR:
         self.released += len(filled)
         filled.sort(key=lambda e: e.seq)
         return filled
-
-    @property
-    def fill_horizon(self) -> Optional[int]:
-        """Lower bound on the earliest in-flight fill time (None when the
-        horizon heap is empty) — the MSHR's next-interesting-cycle report
-        under the event core's horizon contract (docs/PERFORMANCE.md)."""
-        heap = self._fill_heap
-        return heap[0][0] if heap else None
 
     def entries_inflight(self) -> List[MSHREntry]:
         """All in-flight entries (sanitizer / state-dump introspection)."""

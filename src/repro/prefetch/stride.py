@@ -47,7 +47,9 @@ class ConsensusTracker:
         stride once ``threshold`` distinct voters agree."""
         if stride == 0:
             return self.trained_stride
-        voters = self._votes.setdefault(stride, set())
+        voters = self._votes.get(stride)
+        if voters is None:
+            voters = self._votes[stride] = set()
         voters.add(voter)
         if len(voters) >= self.threshold:
             self.trained_stride = stride

@@ -328,9 +328,12 @@ class SubprocessTransport(Transport):
 
     def _spawn(self, worker: int) -> None:
         parent, child = self._ctx.Pipe(duplex=True)
+        # Scheduler-side ends a fork copies into the child; see worker_main.
+        inherited = [parent] + [s.conn for s in self._slots.values()]
         proc = self._ctx.Process(
             target=worker_main,
-            args=(worker, child, self._heartbeat_s, self._fault_plan),
+            args=(worker, child, self._heartbeat_s, self._fault_plan,
+                  inherited if self._ctx.get_start_method() == "fork" else ()),
             daemon=True,
         )
         proc.start()

@@ -32,7 +32,7 @@ import signal
 import threading
 import time
 import traceback
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.gpusim.faults import RunnerFaultInjector, RunnerFaultPlan
 
@@ -97,8 +97,13 @@ class _HeartbeatThread(threading.Thread):
 
 
 def worker_main(worker_id: int, conn: Any, heartbeat_s: float,
-                fault_plan: Optional[Dict[str, Any]] = None) -> None:
-    """Subprocess entry: the claim/execute/report loop (see module doc)."""
+                fault_plan: Optional[Dict[str, Any]] = None,
+                inherited: Sequence[Any] = ()) -> None:
+    """Subprocess entry: the claim/execute/report loop (see module doc).
+    ``inherited`` are scheduler-side pipe ends a fork copied in; closing
+    them lets ``recv`` see EOF once the scheduler dies."""
+    for end in inherited:
+        end.close()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (OSError, ValueError):

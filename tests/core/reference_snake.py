@@ -1,20 +1,119 @@
-"""Naive reference for Snake's prediction half (§3.2).
+"""Naive reference for Snake's training (§3.1) and prediction (§3.2).
 
 ``SnakePrefetcher._generate_raw`` walks a whole chain in one
-``TailTable.walk_raw`` call over the CAM index.  The functions below are
-the original shape it must match exactly: one ``TailTable.find`` (one
-``lookups`` tick) per fan-out and per hop, the best-confirmed link picked
-by a ``(has this warp, popcount)`` key, and ``PrefetchRequest`` objects
-throughout.  They take the learner as their first argument and read its
-tables; nothing in production calls them.
+``TailTable.walk_raw`` call over the CAM index.  The prediction functions
+below are the original shape it must match exactly: one
+``TailTable.find`` (one ``lookups`` tick) per fan-out and per hop, the
+best-confirmed link picked by a ``(has this warp, popcount)`` key, and
+``PrefetchRequest`` objects throughout.
+
+``SnakePrefetcher._detect`` and the Tail table's ``record_intra`` /
+``record_inter_warp`` scan CAM buckets in place, advance the LRU tick
+inline and build a tracker, slot list or vote set only for a missing
+key.  The training functions below are their original shape:
+``setdefault(key, <new object>)`` on every vote, bucket copies through
+``find()`` and one :func:`touch` per updated entry.
+
+They take the learner (or its Tail table) as their first argument and
+read and write its tables; nothing in production calls them.
 """
 
 from typing import List, Optional, Tuple
 
 from repro.core.snake import SnakePrefetcher
-from repro.core.tail_table import TailEntry
+from repro.core.tail_table import TailEntry, TailTable, TrainState
 from repro.obs.events import ChainWalkEvent
 from repro.prefetch.base import AccessEvent, PrefetchRequest
+from repro.prefetch.stride import ConsensusTracker
+
+
+def touch(tail: TailTable, entry: TailEntry) -> None:
+    """Advance the table's LRU clock and stamp ``entry`` with it."""
+    tail._tick += 1
+    entry.last_use = tail._tick
+
+
+def record_intra(tail: TailTable, warp_id: int, pc: int, stride: int) -> None:
+    """``TailTable.record_intra`` through two ``find`` calls: create a
+    self-link when no entry for ``pc`` exists, then vote on every entry
+    of the PC and promote the stride ``train_threshold`` warps agree on."""
+    if not tail.find(pc):
+        entry = TailEntry(pc1=pc, pc2=pc, inter_thread_stride=stride)
+        if len(tail._entries) >= tail.capacity:
+            tail._evict_one()
+        tail._install(entry)
+    for entry in tail.find(pc):
+        votes = entry._intra_votes.setdefault(stride, set())
+        votes.add(warp_id)
+        if entry.intra_stride == stride:
+            if len(votes) >= tail.train_threshold:
+                entry.t2 = TrainState.TRAINED
+        elif len(votes) >= len(
+            entry._intra_votes.get(entry.intra_stride, set())
+        ):
+            entry.intra_stride = stride
+            if len(votes) >= tail.train_threshold:
+                entry.t2 = TrainState.TRAINED
+            elif entry.t2 is not TrainState.TRAINED:
+                entry.t2 = TrainState.NOT_TRAINED
+        touch(tail, entry)
+
+
+def record_inter_warp(tail: TailTable, pc: int, stride: int) -> None:
+    """``TailTable.record_inter_warp`` through one ``find`` call."""
+    for entry in tail.find(pc):
+        entry.inter_warp_stride = stride
+        touch(tail, entry)
+
+
+def vote(tracker: ConsensusTracker, voter: int, stride: int) -> Optional[int]:
+    """``ConsensusTracker.vote`` with a fresh vote set per call."""
+    if stride == 0:
+        return tracker.trained_stride
+    voters = tracker._votes.setdefault(stride, set())
+    voters.add(voter)
+    if len(voters) >= tracker.threshold:
+        tracker.trained_stride = stride
+    return tracker.trained_stride
+
+
+def detect(
+    learner: SnakePrefetcher, warp_id: int, pc: int, base_addr: int,
+    app_id: int,
+) -> None:
+    """``SnakePrefetcher._detect`` with a throwaway slot list and
+    ``ConsensusTracker`` per ``setdefault`` and the reference Tail
+    updates above."""
+    tail = learner.tail
+    transition = learner.head.update(warp_id, pc, base_addr)
+    if transition is not None and transition[1] != 0:
+        tail.record(warp_id, transition[0], pc, transition[1])
+
+    if learner.use_intra:
+        key = (app_id, warp_id, pc)
+        last = learner._intra_last.get(key)
+        if last is not None and base_addr != last:
+            record_intra(tail, warp_id, pc, base_addr - last)
+        learner._intra_last[key] = base_addr
+
+    if learner.use_inter_warp:
+        slots = learner._iw_last.setdefault((app_id, pc), [])
+        for other_warp, addr in slots:
+            if other_warp == warp_id:
+                continue
+            gap = warp_id - other_warp
+            delta = base_addr - addr
+            if gap != 0 and delta % gap == 0:
+                tracker = learner._iw_consensus.setdefault(
+                    (app_id, pc),
+                    ConsensusTracker(threshold=learner.train_threshold),
+                )
+                trained = vote(tracker, warp_id, delta // gap)
+                if trained is not None:
+                    record_inter_warp(tail, pc, trained)
+        slots.append((warp_id, base_addr))
+        if len(slots) > 2:
+            del slots[0]
 
 
 def prefetchable_link(
@@ -134,8 +233,14 @@ def generate(
 
 
 class ReferenceSnake(SnakePrefetcher):
-    """A Snake learner whose prediction half is :func:`generate`; its
-    detection half (Head/Tail training) is the production one."""
+    """A Snake learner that trains through :func:`detect` and predicts
+    through :func:`generate`; the Head table and ``TailTable.record``
+    are the production ones."""
+
+    def _detect(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int
+    ) -> None:
+        detect(self, warp_id, pc, base_addr, app_id)
 
     def _generate_raw(
         self, warp_id: int, pc: int, base_addr: int, app_id: int, now: int
@@ -150,8 +255,9 @@ class ReferenceSnake(SnakePrefetcher):
 
 
 def install(monkeypatch) -> None:
-    """Make every Snake learner in the test predict through
-    :func:`generate`."""
+    """Make every Snake learner in the test train through :func:`detect`
+    and predict through :func:`generate`."""
+    monkeypatch.setattr(SnakePrefetcher, "_detect", ReferenceSnake._detect)
     monkeypatch.setattr(
         SnakePrefetcher, "_generate_raw", ReferenceSnake._generate_raw
     )

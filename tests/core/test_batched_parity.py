@@ -1,16 +1,19 @@
 """Property tests pinning the hot path to its naive references.
 
-The production lanes (``TailTable.walk_raw`` under
-``SnakePrefetcher._generate_raw``, ``observe_raw``, and the SM/L1
-``prefetch_trigger`` issue path) are performance refactors of the naive
-references kept beside these tests (``reference_snake.py``,
-``tests/gpusim/reference_issue.py``), and these tests are the pin —
-hypothesis-generated access streams, seeds and chain shapes (including
-forced Tail evictions and the fault injector's in-field corruption
-modes) must produce identical predictions, table state and statistics
-on both paths.
+The production lanes (Snake's training in ``SnakePrefetcher._detect``
+and the Tail table's in-place ``record_intra``/``record_inter_warp``,
+``TailTable.walk_raw`` under ``SnakePrefetcher._generate_raw``,
+``observe_raw``, and the SM/L1 ``prefetch_trigger`` issue path) are
+performance refactors of the naive references kept beside these tests
+(``reference_snake.py``, ``tests/gpusim/reference_issue.py``), and these
+tests are the pin — hypothesis-generated access streams, seeds and chain
+shapes (including forced Tail evictions, mid-stream stride changes and
+the fault injector's in-field corruption modes) must produce identical
+predictions, learner snapshots (byte for byte, after every event) and
+statistics on both paths.
 """
 
+import json
 import random
 
 import pytest
@@ -33,7 +36,9 @@ def _stream(seed, length, pcs, warps, chain_shape):
     ``chain_shape`` picks the pc ordering: ``loop`` sweeps pcs cyclically
     per warp (stable chains), ``churn`` picks pcs at random (constant
     Tail eviction pressure on a small table), ``mixed`` alternates and
-    sprinkles divergent accesses.
+    sprinkles divergent accesses, and ``shift`` sweeps like ``loop`` but
+    changes every PC's per-warp stride halfway through (warps disagree
+    on the new stride, so intra-warp votes split between rivals).
     """
     rng = random.Random(seed)
     pc_list = [0x100 + 4 * i for i in range(pcs)]
@@ -42,13 +47,18 @@ def _stream(seed, length, pcs, warps, chain_shape):
     events = []
     for k in range(length):
         warp = rng.randrange(warps)
-        if chain_shape == "loop" or (chain_shape == "mixed" and k % 2 == 0):
+        if chain_shape in ("loop", "shift") or (
+            chain_shape == "mixed" and k % 2 == 0
+        ):
             pc = pc_list[(k // warps) % len(pc_list)]
         else:
             pc = pc_list[rng.randrange(len(pc_list))]
         key = (warp, pc)
         addr = cursors.get(key, 0x4000 + warp * 0x1000 + pc * 8)
-        cursors[key] = addr + strides[pc]
+        stride = strides[pc]
+        if chain_shape == "shift" and 2 * k >= length:
+            stride += 32 * (1 + warp % 3)
+        cursors[key] = addr + stride
         events.append(AccessEvent(
             warp_id=warp, cta_id=0, pc=pc, base_addr=addr, line_addr=addr,
             now=k,
@@ -66,11 +76,10 @@ def _make_pair(tail_entries, depth):
     return SnakePrefetcher(**kwargs), ReferenceSnake(**kwargs)
 
 
-def _table_state(learner):
-    return [
-        (app_id, head.snapshot(), tail.snapshot())
-        for app_id, head, tail in learner.tables()
-    ]
+def _state(learner):
+    """The whole learner image, in its insertion orders: Head/Tail
+    tables, ``_intra_last``, ``_iw_last`` and ``_iw_consensus``."""
+    return json.dumps(learner.snapshot(), sort_keys=False)
 
 
 STREAMS = st.tuples(
@@ -78,7 +87,7 @@ STREAMS = st.tuples(
     st.integers(32, 300),                        # length
     st.integers(2, 10),                          # distinct pcs
     st.integers(1, 12),                          # warps
-    st.sampled_from(["loop", "churn", "mixed"]),
+    st.sampled_from(["loop", "churn", "mixed", "shift"]),
 )
 
 
@@ -87,18 +96,37 @@ class TestLearnerParity:
     @given(params=STREAMS, tail_entries=st.integers(2, 24),
            depth=st.integers(1, 12))
     def test_observe_matches_scalar_oracle(self, params, tail_entries, depth):
-        """Production vs reference generation: identical predictions,
-        lookup accounting and table state — small Tail capacities force
-        eviction interleavings, large ones cross the vectorized-walk
-        threshold."""
+        """Production vs reference training and generation: identical
+        predictions after every event, identical learner snapshots after
+        every event, and identical lookup accounting — small Tail
+        capacities force eviction interleavings, large ones keep long
+        CAM buckets."""
         events = _stream(*params)
         production, reference = _make_pair(tail_entries, depth)
         for event in events:
             got = [(r.base_addr, r.depth) for r in production.observe(event)]
             want = [(r.base_addr, r.depth) for r in reference.observe(event)]
             assert got == want
+            assert _state(production) == _state(reference)
         assert production.tail.lookups == reference.tail.lookups
-        assert _table_state(production) == _table_state(reference)
+
+    def test_shift_stream_reaches_rival_and_inter_warp_training(self):
+        """The ``shift`` shape drives ``record_intra`` into its rival
+        branch (an entry holding votes for two strides) and trains an
+        inter-warp stride, with both learners in lockstep throughout."""
+        production, reference = _make_pair(16, 8)
+        rival = inter_warp = False
+        for event in _stream(7, 400, 4, 8, "shift"):
+            got = [(r.base_addr, r.depth) for r in production.observe(event)]
+            want = [(r.base_addr, r.depth) for r in reference.observe(event)]
+            assert got == want
+            assert _state(production) == _state(reference)
+            entries = production.tail.entries()
+            rival |= any(len(e._intra_votes) >= 2 for e in entries)
+            inter_warp |= any(
+                e.inter_warp_stride is not None for e in entries
+            )
+        assert rival and inter_warp
 
     @settings(max_examples=25, deadline=None)
     @given(params=STREAMS, tail_entries=st.integers(2, 24))
@@ -113,7 +141,7 @@ class TestLearnerParity:
             )
             want = [(r.base_addr, r.depth) for r in reference.observe(event)]
             assert pairs == want
-        assert _table_state(raw) == _table_state(reference)
+            assert _state(raw) == _state(reference)
 
     @settings(max_examples=20, deadline=None)
     @given(params=STREAMS, tail_entries=st.integers(2, 20),
@@ -145,7 +173,7 @@ class TestLearnerParity:
             got = [(r.base_addr, r.depth) for r in production.observe(event)]
             want = [(r.base_addr, r.depth) for r in reference.observe(event)]
             assert got == want
-        assert _table_state(production) == _table_state(reference)
+            assert _state(production) == _state(reference)
 
     @settings(max_examples=15, deadline=None)
     @given(params=STREAMS, tail_entries=st.integers(2, 24))
@@ -248,9 +276,9 @@ class TestRawLaneParity:
             want = [(r.base_addr, r.depth) for r in oracle.observe(event)]
             assert got == boxed == want
             assert all(target >= 0 for target, _ in got)
+            assert _state(raw) == _state(adapter) == _state(oracle)
         lookups = [[t.lookups for _, _, t in l.tables()] for l in learners]
         assert lookups[0] == lookups[1] == lookups[2]
-        assert raw.snapshot() == adapter.snapshot() == oracle.snapshot()
 
 
 def _small_kernel(seed):

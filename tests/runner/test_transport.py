@@ -1,6 +1,17 @@
 """The message plane: clocks, the faulty Inbox, and the inline transport."""
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
+
+import repro
+from repro.cli import _outlivers
 
 from repro.gpusim.faults import RunnerFaultInjector, RunnerFaultPlan
 from repro.runner.transport import (
@@ -214,3 +225,37 @@ class TestSubprocessTransport:
             assert ready
         finally:
             transport.stop()
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(),
+    reason="process states are read from /proc",
+)
+def test_workers_exit_when_their_scheduler_is_sigkilled(tmp_path):
+    """A forked worker closes the scheduler-side pipe ends it inherited
+    (its own and its siblings'), so SIGKILLing a sweep's scheduler
+    mid-job closes every pipe and each worker's claim loop sees EOF."""
+    ck = tmp_path / "sweep.jsonl"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "sweep",
+         "--apps", "lps,hotspot,srad", "--mechanisms", "none,snake",
+         "--jobs", "2", "--scale", "0.1", "--checkpoint", str(ck)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline and proc.poll() is None:
+            if ck.exists() and ck.read_bytes().count(b"\n") >= 1:
+                break
+            time.sleep(0.02)
+        assert proc.poll() is None, "the sweep ended before the kill"
+        assert len(_outlivers(proc.pid, 0.0)) == 3  # scheduler + 2 workers
+        proc.kill()
+        proc.wait(timeout=30.0)
+        assert _outlivers(proc.pid, 30.0) == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
