@@ -40,6 +40,10 @@ def _expand_pattern(
     rem: int, stride: int, size_bytes: int, warp_size: int, line_bytes: int
 ) -> List[int]:
     """Line offsets (relative to the aligned base) of one access shape."""
+    if stride == 0:
+        # Broadcast: every thread reads the same [base, base+size) window.
+        last = line_of(rem + size_bytes - 1, line_bytes)
+        return list(range(0, last + 1, line_bytes))
     if stride > 0:
         # Monotonic fast path.  Each thread touches the contiguous line
         # range [line_of(start), line_of(start + size - 1)] and successive
@@ -78,30 +82,33 @@ def _expand_pattern(
     return fallback
 
 
-def coalesce_lines(
-    base: int, stride: int, size_bytes: int, warp_size: int, line_bytes: int
+def line_offsets(
+    rem: int, stride: int, size_bytes: int, warp_size: int, line_bytes: int
 ) -> List[int]:
-    """Raw-argument form of :func:`coalesce` — the hot path for prefetch
-    footprints, which would otherwise construct a throwaway
-    :class:`WarpInstr` per predicted address."""
-    if line_bytes <= 0:
-        raise ValueError("line_bytes must be positive")
-    if base < 0:
-        raise ValueError("memory instruction needs a non-negative address")
-
-    if stride == 0:
-        # Broadcast: every thread reads the same [base, base+size) window.
-        first = line_of(base, line_bytes)
-        last = line_of(base + size_bytes - 1, line_bytes)
-        return list(range(first, last + 1, line_bytes))
-
-    rem = base % line_bytes
+    """The memoized shape of an access whose base sits ``rem`` bytes into
+    its line: line offsets from the line-aligned base, in emission order.
+    Callers add the aligned base back; the list is shared, never mutate it."""
     key = (rem, stride, size_bytes, warp_size, line_bytes)
     pattern = _PATTERN_MEMO.get(key)
     if pattern is None:
         pattern = _expand_pattern(rem, stride, size_bytes, warp_size, line_bytes)
         _PATTERN_MEMO[key] = pattern
+    return pattern
+
+
+def coalesce_lines(
+    base: int, stride: int, size_bytes: int, warp_size: int, line_bytes: int
+) -> List[int]:
+    """Raw-argument form of :func:`coalesce` — the hot path for demand
+    loads and stores, which would otherwise go through the instruction's
+    op check, and for prefetch footprints."""
+    if line_bytes <= 0:
+        raise ValueError("line_bytes must be positive")
+    if base < 0:
+        raise ValueError("memory instruction needs a non-negative address")
+    rem = base % line_bytes
     shift = base - rem
+    pattern = line_offsets(rem, stride, size_bytes, warp_size, line_bytes)
     return [shift + off for off in pattern]
 
 
@@ -121,11 +128,6 @@ def coalesce(
         instr.base_addr, instr.thread_stride, instr.size_bytes,
         warp_size, line_bytes,
     )
-
-
-def num_transactions(instr: WarpInstr, warp_size: int, line_bytes: int) -> int:
-    """Number of line transactions the instruction generates."""
-    return len(coalesce(instr, warp_size, line_bytes))
 
 
 def _expand_sectors(

@@ -8,6 +8,7 @@ setting of the paper's worked example (§3.4) and for ablations.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional, Protocol, Sequence
 
 
@@ -25,6 +26,9 @@ class WarpScheduler(Protocol):
     def note_issued(self, warp: SchedulableWarp) -> None: ...
 
 
+_WARP_ID = attrgetter("warp_id")
+
+
 class GTOScheduler:
     """Greedy-then-oldest."""
 
@@ -36,11 +40,12 @@ class GTOScheduler:
     def pick(self, ready: Sequence[SchedulableWarp]) -> SchedulableWarp:
         if not ready:
             raise ValueError("scheduler invoked with no ready warps")
-        if self._last is not None:
+        last = self._last
+        if last is not None:
             for warp in ready:
-                if warp.warp_id == self._last:
+                if warp.warp_id == last:
                     return warp
-        oldest = min(ready, key=lambda w: w.warp_id)
+        oldest = ready[0] if len(ready) == 1 else min(ready, key=_WARP_ID)
         self._last = oldest.warp_id
         return oldest
 
@@ -59,11 +64,11 @@ class RRScheduler:
     def pick(self, ready: Sequence[SchedulableWarp]) -> SchedulableWarp:
         if not ready:
             raise ValueError("scheduler invoked with no ready warps")
-        ordered = sorted(ready, key=lambda w: w.warp_id)
-        for warp in ordered:
-            if warp.warp_id >= self._next:
-                return warp
-        return ordered[0]
+        # Warp ids are unique within an SM: the lowest id >= ``_next`` is
+        # the first such warp in ascending id order.
+        nxt = self._next
+        later = [warp for warp in ready if warp.warp_id >= nxt]
+        return min(later or ready, key=_WARP_ID)
 
     def note_issued(self, warp: SchedulableWarp) -> None:
         self._next = warp.warp_id + 1

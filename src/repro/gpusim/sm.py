@@ -23,7 +23,8 @@ from heapq import heappop, heappush
 from repro.obs.events import BusLike, CacheAccessEvent, NULL_BUS
 from repro.prefetch.base import AccessEvent, Prefetcher
 
-from .coalescer import coalesce, coalesce_lines, coalesce_sectors
+# ``coalesce`` is unused here but stays bound: perfbench wraps this module's names.
+from .coalescer import coalesce, coalesce_lines, coalesce_sectors  # noqa: F401
 from .config import GPUConfig
 from .faults import FaultInjector
 from .interconnect import Interconnect
@@ -33,6 +34,14 @@ from .stats import SimStats
 from .trace import CTA, Op, WarpInstr, WarpTrace
 from .unified_cache import L1Outcome, StorageMode, UnifiedL1Cache
 
+# ``op is _ALU`` skips the ``Op.ALU`` lookup; an Op-keyed dict hashes via Enum.__hash__.
+_ALU = Op.ALU
+_SFU = Op.SFU
+_LOAD = Op.LOAD
+_STORE = Op.STORE
+_BARRIER = Op.BARRIER
+_RESERVATION_FAIL = L1Outcome.RESERVATION_FAIL
+
 
 @dataclass(slots=True)
 class WarpState:
@@ -41,6 +50,7 @@ class WarpState:
     warp_id: int
     cta_id: int
     trace: WarpTrace
+    instrs: List[WarpInstr]  # ``trace.instrs``, read directly by ``_issue``
     ip: int = 0
     ready_at: int = 0
     finished: bool = False
@@ -125,6 +135,9 @@ class SM:
         self._alu_latency = config.alu_latency
         self._sfu_latency = config.sfu_latency
         self._sector_bytes = config.l1_sector_bytes
+        self._warp_size = config.warp_size
+        self._line_bytes = self.l1.line_bytes
+        self._prefetcher_latency = config.prefetcher_latency
 
         self._cta_queue: Deque[CTA] = deque()
         self._cta_app: Dict[int, int] = {}
@@ -171,6 +184,7 @@ class SM:
                     warp_id=trace.warp_id,
                     cta_id=cta.cta_id,
                     trace=trace,
+                    instrs=trace.instrs,
                     ready_at=self.now,
                 )
                 self._warps.append(warp)
@@ -228,16 +242,22 @@ class SM:
             self.now = next_time
             return next_time
 
+        scheduler = self.scheduler
+        issue = self._issue
+        width = self._issue_width
         issued = 0
-        while issued < self._issue_width and ready:
-            warp = self.scheduler.pick(ready)
-            self._issue(warp)
-            self.scheduler.note_issued(warp)
+        while issued < width and ready:
+            warp = scheduler.pick(ready)
+            issue(warp)
+            scheduler.note_issued(warp)
             issued += 1
-            for idx, w in enumerate(ready):  # remove by identity, not __eq__
-                if w is warp:
-                    del ready[idx]
-                    break
+            if ready[-1] is warp:
+                ready.pop()
+            else:
+                for idx, w in enumerate(ready):  # by identity, not __eq__
+                    if w is warp:
+                        del ready[idx]
+                        break
             # CTAs activated by a retirement push warps with ready_at ==
             # now: drain them into this quantum's ready set (the reference
             # rescan would also pick them up) *before* re-parking the
@@ -278,39 +298,42 @@ class SM:
 
     def _issue(self, warp: WarpState) -> None:
         if warp.replay_lines:
-            self._issue_mem_lines(warp, warp.replay_lines, is_load=True, replay=True)
+            self._issue_mem_lines(warp, warp.replay_lines)
             return
 
-        instr = warp.current_instr
-        if instr is None:
+        instrs = warp.instrs
+        ip = warp.ip
+        if ip >= len(instrs):
             self._finish_warp(warp)
             return
 
-        if instr.op is Op.ALU:
-            warp.ready_at = self.now + self._alu_latency
+        instr = instrs[ip]
+        op = instr.op
+        if op is _ALU or op is _SFU:
+            # Inlined completion (``_complete``) of the fixed-latency ops.
+            warp.ready_at = self.now + (
+                self._alu_latency if op is _ALU else self._sfu_latency
+            )
             if warp.waiting_on_memory:
                 warp.waiting_on_memory = False
                 self._active_non_mem += 1
-            self._complete(warp)
-        elif instr.op is Op.SFU:
-            warp.ready_at = self.now + self._sfu_latency
-            if warp.waiting_on_memory:
-                warp.waiting_on_memory = False
-                self._active_non_mem += 1
-            self._complete(warp)
-        elif instr.op is Op.BARRIER:
-            self._arrive_barrier(warp)
-        elif instr.op is Op.LOAD:
+            warp.ip = ip = ip + 1
+            self.stats.instructions += 1
+            if ip >= len(instrs):
+                self._finish_warp(warp)
+        elif op is _LOAD:
             self._issue_load(warp, instr)
-        elif instr.op is Op.STORE:
+        elif op is _STORE:
             self._issue_store(warp, instr)
+        elif op is _BARRIER:
+            self._arrive_barrier(warp)
         else:  # pragma: no cover - exhaustive over Op
-            raise ValueError("unknown op %r" % instr.op)
+            raise ValueError("unknown op %r" % op)
 
     def _complete(self, warp: WarpState) -> None:
         warp.ip += 1
         self.stats.instructions += 1
-        if warp.ip >= len(warp.trace.instrs):
+        if warp.ip >= len(warp.instrs):
             self._finish_warp(warp)
 
     def _finish_warp(self, warp: WarpState) -> None:
@@ -332,41 +355,39 @@ class SM:
     def _issue_load(self, warp: WarpState, instr: WarpInstr) -> None:
         if self._sector_bytes:
             masks = coalesce_sectors(
-                instr, self.config.warp_size, self.l1.line_bytes,
-                self._sector_bytes,
+                instr, self._warp_size, self._line_bytes, self._sector_bytes
             )
             lines = list(masks)
             warp.sector_masks = masks
         else:
-            lines = coalesce(instr, self.config.warp_size, self.l1.line_bytes)
-            warp.sector_masks = {}
+            # ``_issue`` checked the op.  ``sector_masks`` stays empty here.
+            lines = coalesce_lines(
+                instr.base_addr, instr.thread_stride, instr.size_bytes,
+                self._warp_size, self._line_bytes,
+            )
         if not self._pf_skip:
             self._feed_prefetcher(warp, instr, lines[0])
-        self._issue_mem_lines(warp, lines, is_load=True, replay=False)
+        self._issue_mem_lines(warp, lines)
 
-    def _issue_mem_lines(
-        self, warp: WarpState, lines: List[int], is_load: bool, replay: bool
-    ) -> None:
-        ready = self.now
+    def _issue_mem_lines(self, warp: WarpState, lines: List[int]) -> None:
+        ready = now = self.now
+        demand_load = self.l1.demand_load
+        masks = warp.sector_masks
         remaining: List[int] = []
-        failed = False
         observing = self.obs.enabled
         for idx, line in enumerate(lines):
-            if failed:
-                remaining.append(line)
-                continue
             if observing:
                 prefetch_stats = self.stats.prefetch
                 covered_before = prefetch_stats.demand_covered
                 timely_before = prefetch_stats.demand_timely
-            outcome, when = self.l1.demand_load(
-                line, self.now, sector_mask=warp.sector_masks.get(line, -1)
+            outcome, when = demand_load(
+                line, now, sector_mask=masks.get(line, -1) if masks else -1
             )
             if observing:
                 instr = warp.current_instr
                 self.obs.emit(
                     CacheAccessEvent(
-                        cycle=self.now,
+                        cycle=now,
                         sm_id=self.sm_id,
                         warp_id=warp.warp_id,
                         pc=instr.pc if instr is not None else -1,
@@ -376,16 +397,16 @@ class SM:
                         timely=prefetch_stats.demand_timely > timely_before,
                     )
                 )
-            if outcome is L1Outcome.RESERVATION_FAIL:
-                failed = True
-                remaining.append(line)
+            if outcome is _RESERVATION_FAIL:
+                remaining = lines[idx:]  # this line and the rest replay
                 warp.ready_at = when
-            else:
-                ready = max(ready, when)
+                break
+            if when > ready:
+                ready = when
         if not warp.waiting_on_memory:
             warp.waiting_on_memory = True
             self._active_non_mem -= 1
-        if failed:
+        if remaining:
             warp.replay_lines = remaining
             warp.replay_ready = max(ready, warp.ready_at)
             return
@@ -397,10 +418,12 @@ class SM:
         self._complete(warp)
 
     def _issue_store(self, warp: WarpState, instr: WarpInstr) -> None:
-        lines = coalesce(instr, self.config.warp_size, self.l1.line_bytes)
-        done = self.now
-        for line in lines:
-            done = max(done, self.l1.demand_store(line, self.now))
+        now = done = self.now
+        for line in coalesce_lines(
+            instr.base_addr, instr.thread_stride, instr.size_bytes,
+            self._warp_size, self._line_bytes,
+        ):
+            done = max(done, self.l1.demand_store(line, now))
         warp.ready_at = done
         if warp.waiting_on_memory:
             warp.waiting_on_memory = False
@@ -414,6 +437,7 @@ class SM:
         self, warp: WarpState, instr: WarpInstr, line_addr: int
     ) -> None:
         app_id = self._cta_app.get(warp.cta_id, 0)
+        utilization: Optional[float] = None
         if self._pf_has_depth_limit:
             utilization = 0.5 * (
                 self.icnt_req.measured_utilization(self.now)
@@ -456,7 +480,7 @@ class SM:
         if self.prefetcher.uses_magic:
             self._issue_prefetch(pairs, instr)
         else:
-            self._issue_prefetches(pairs, instr)
+            self._issue_prefetches(pairs, instr, utilization)
 
     def _issue_prefetch(
         self, requests: List[Tuple[int, int]], instr: WarpInstr
@@ -466,39 +490,26 @@ class SM:
         for base_addr, _depth in requests:
             for line in coalesce_lines(
                 base_addr, instr.thread_stride, instr.size_bytes,
-                self.config.warp_size, self.l1.line_bytes,
+                self._warp_size, self._line_bytes,
             ):
                 self.l1.magic_prefetch(line)
 
     def _issue_prefetches(
-        self, requests: List[Tuple[int, int]], instr: WarpInstr
+        self, requests: List[Tuple[int, int]], instr: WarpInstr,
+        utilization: Optional[float],
     ) -> None:
         """Issue one trigger's ``(base_addr, depth)`` requests.
 
-        Coalesces every request up front and hands the L1 the full
-        per-trigger vector-of-vectors in one
-        :meth:`UnifiedL1Cache.prefetch_trigger` call, which votes the
-        throttle per request and emits the issue telemetry.  The table
-        search pipeline delays the requests by ``prefetcher_latency``
-        cycles (§5.5 reports 2).
+        Hands the L1 the whole trigger, with the depth cap's NoC reading
+        (None without a cap), in one :meth:`UnifiedL1Cache.prefetch_trigger`
+        call, which coalesces each request, votes the throttle per request
+        and emits the issue telemetry.  The table search pipeline delays
+        the requests by ``prefetcher_latency`` cycles (§5.5 reports 2).
         """
         now = self.now
-        stride = instr.thread_stride
-        size_bytes = instr.size_bytes
-        warp_size = self.config.warp_size
-        line_bytes = self.l1.line_bytes
         self.l1.prefetch_trigger(
-            [
-                coalesce_lines(
-                    base_addr, stride, size_bytes, warp_size, line_bytes
-                )
-                for base_addr, _depth in requests
-            ],
-            requests,
-            instr.pc,
-            now,
-            now + self.config.prefetcher_latency,
-            self.throttle,
+            requests, instr.thread_stride, instr.size_bytes, instr.pc, now,
+            now + self._prefetcher_latency, self.throttle, utilization,
         )
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ import enum
 import math
 from collections import deque
 from typing import (
-    TYPE_CHECKING, Deque, List, Optional, Sequence, Set, Tuple, Union,
+    TYPE_CHECKING, Deque, Optional, Sequence, Set, Tuple, Union,
 )
 
 from repro.obs.events import (
@@ -40,6 +40,7 @@ from repro.obs.events import (
 )
 
 from .cache import LineState, MSHR, MSHREntry, SetAssocCache
+from .coalescer import line_offsets
 from .config import CacheConfig, GPUConfig
 from .faults import FaultInjector
 from .interconnect import Interconnect
@@ -572,18 +573,23 @@ class UnifiedL1Cache:
 
     def prefetch_trigger(
         self,
-        vectors: List[List[int]],
         requests: Sequence[Tuple[int, int]],
+        stride: int,
+        size_bytes: int,
         pc: int,
         now: int,
         issue_at: int,
         throttle: "Throttle",
+        utilization: Optional[float] = None,
     ) -> None:
         """Issue a whole trigger's prefetch requests in one call.
 
         ``requests`` are the ``(base_addr, depth)`` pairs the load at
-        ``pc`` triggered and ``vectors`` their coalesced line vectors, in
-        the same order; lines leave for L2 at ``issue_at``.
+        ``pc`` (of ``stride`` and ``size_bytes``) triggered; each expands
+        to its :func:`coalesce_lines` vector as the loop reaches it.
+        Lines leave for L2 at ``issue_at``.  The first vote uses
+        ``utilization``, a NoC reading taken at ``now`` with no ``send``
+        since, or reads both ports when it is None.
 
         Per request the throttle votes in sequence at ``now``, but the
         vote is memoized: ``Throttle.allow`` is a deterministic,
@@ -614,31 +620,33 @@ class UnifiedL1Cache:
         obs = self._obs
         observing = obs.enabled
         sm_id = self._sm_id
-        utilization = 0.0
+        warp_size = self.config.warp_size
+        line_bytes = self.config.l1.line_bytes
+        sent_since_vote = utilization is None
+        measured = 0.0 if utilization is None else utilization
         need_vote = True
-        sent_since_vote = True
         last_occ = -1
         last_unused = -1
-        for index, vector in enumerate(vectors):
+        for index, (base_addr, depth) in enumerate(requests):
             if sent_since_vote:
-                utilization = 0.5 * (req_util(now) + resp_util(now))
+                measured = 0.5 * (req_util(now) + resp_util(now))
             elif (
                 pf_store._occupancy != last_occ
                 or pf_store._prefetch_unused != last_unused
             ):
                 need_vote = True  # fills committed: space inputs moved
             if need_vote:
-                if not allow(now, self, utilization):
-                    stats_pf.dropped_throttled += len(vectors) - index
+                if not allow(now, self, measured):
+                    stats_pf.dropped_throttled += len(requests) - index
                     if observing:
                         reason = (
                             "bandwidth" if getattr(throttle, "bw_halted", False)
                             else "space"
                         )
-                        for _ in range(len(vectors) - index):
+                        for _ in range(len(requests) - index):
                             obs.emit(ThrottleEvent(
                                 cycle=now, sm_id=sm_id, reason=reason,
-                                utilization=utilization,
+                                utilization=measured,
                             ))
                     return
                 last_occ = pf_store._occupancy
@@ -646,13 +654,16 @@ class UnifiedL1Cache:
                 need_vote = False
                 sent_since_vote = False
             sent_any = False
-            for line_addr in vector:
+            rem = base_addr % line_bytes
+            shift = base_addr - rem
+            for offset in line_offsets(rem, stride, size_bytes, warp_size, line_bytes):
+                line_addr = shift + offset
                 if prefetch(line_addr, issue_at):
                     sent_any = True
                     if observing:
                         obs.emit(PrefetchIssueEvent(
                             cycle=issue_at, sm_id=sm_id, pc=pc,
-                            line_addr=line_addr, depth=requests[index][1],
+                            line_addr=line_addr, depth=depth,
                         ))
             if sent_any:
                 need_vote = True

@@ -9,13 +9,14 @@ path"):
 * ``table-walk`` — the learner side: ``observe`` / ``observe_raw``
   (Head-table update, Tail CAM search, chain walk, request generation);
 * ``issue``      — the L1 prefetch admission path
-  (``prefetch_trigger``, which runs every line through ``prefetch``);
-* ``coalesce``   — warp-access-to-line flattening
-  (``coalesce`` / ``coalesce_lines`` / ``coalesce_sectors``);
+  (``prefetch_trigger``, which expands each request off the coalescer's
+  shape memo and runs every line through ``prefetch``);
+* ``coalesce``   — the SM's warp-access-to-line flattening
+  (``coalesce_lines`` / ``coalesce_sectors``);
 * ``cache``      — the demand side (``demand_load`` / ``demand_store``).
 
 The buckets are disjoint by construction: the learner never calls into
-the L1, the issue path receives already-coalesced lines, and demand
+the L1, the issue path's expansion is part of the issue bucket, and demand
 traffic bypasses all three others.  Only the outermost method of each
 bucket is wrapped: ``prefetch`` runs nested inside ``prefetch_trigger``,
 so metering it too would count its time twice.  Whatever the buckets do
@@ -39,7 +40,7 @@ from typing import Any, Callable, Dict, List, Tuple
 HOT_BUCKETS: Tuple[Tuple[str, str], ...] = (
     ("table-walk", "prefetcher.observe / observe_raw"),
     ("issue", "l1.prefetch_trigger"),
-    ("coalesce", "sm.coalesce / coalesce_lines / coalesce_sectors"),
+    ("coalesce", "sm.coalesce_lines / coalesce_sectors"),
     ("cache", "l1.demand_load / demand_store"),
 )
 
@@ -188,7 +189,7 @@ def hot_profile_run(
 
     saved = {
         name: getattr(sm_module, name)
-        for name in ("coalesce", "coalesce_lines", "coalesce_sectors")
+        for name in ("coalesce_lines", "coalesce_sectors")
     }
     for name, func in saved.items():
         setattr(sm_module, name, _Meter(coalesce, func))

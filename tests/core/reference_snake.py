@@ -18,6 +18,7 @@ They take the learner (or its Tail table) as their first argument and
 read and write its tables; nothing in production calls them.
 """
 
+from collections import Counter
 from typing import List, Optional, Tuple
 
 from repro.core.snake import SnakePrefetcher
@@ -254,10 +255,21 @@ class ReferenceSnake(SnakePrefetcher):
         ]
 
 
-def install(monkeypatch) -> None:
+def install(monkeypatch) -> Counter:
     """Make every Snake learner in the test train through :func:`detect`
-    and predict through :func:`generate`."""
-    monkeypatch.setattr(SnakePrefetcher, "_detect", ReferenceSnake._detect)
-    monkeypatch.setattr(
-        SnakePrefetcher, "_generate_raw", ReferenceSnake._generate_raw
-    )
+    and predict through :func:`generate`.  Returns a counter of the
+    ``"detect"`` and ``"generate"`` calls that reached them, so a test can
+    show the references really ran."""
+    reached: Counter = Counter()
+
+    def counted_detect(learner, *args):
+        reached["detect"] += 1
+        ReferenceSnake._detect(learner, *args)
+
+    def counted_generate(learner, *args):
+        reached["generate"] += 1
+        return ReferenceSnake._generate_raw(learner, *args)
+
+    monkeypatch.setattr(SnakePrefetcher, "_detect", counted_detect)
+    monkeypatch.setattr(SnakePrefetcher, "_generate_raw", counted_generate)
+    return reached

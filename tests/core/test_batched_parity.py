@@ -14,14 +14,16 @@ statistics on both paths.
 """
 
 import json
+from collections import Counter
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.snake import SnakePrefetcher
 from repro.core.tail_table import TrainState
 from repro.gpusim import GPUConfig, simulate
+from repro.gpusim.sm import SM
 from repro.gpusim.trace import CTA, KernelTrace, Op, WarpInstr, WarpTrace, renumber_warps
 from repro.prefetch.base import AccessEvent
 
@@ -311,18 +313,41 @@ class TestSimulatorReferenceParity:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**31),
            mech=st.sampled_from(["snake", "s-snake", "intra"]))
+    @example(seed=3, mech="snake")
     def test_references_do_not_move_stats(self, seed, mech):
         kernel = _small_kernel(seed)
-        reference = simulate(kernel, prefetcher=mech, config=GPUConfig())
+        # Count production's triggers: the issue reference must see each.
+        triggers: Counter = Counter()
+        production = SM._issue_prefetches
+
+        def counted(sm, *args):
+            triggers["trigger"] += 1
+            production(sm, *args)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(SM, "_issue_prefetches", counted)
+            reference = simulate(kernel, prefetcher=mech, config=GPUConfig())
+        # Intra-warp stride trains on every kernel _small_kernel builds.
+        assert triggers["trigger"] > 0 or mech != "intra"
         for snake_ref, issue_ref in ((True, False), (False, True),
                                      (True, True)):
             with pytest.MonkeyPatch.context() as monkeypatch:
-                if snake_ref:
-                    reference_snake.install(monkeypatch)
-                if issue_ref:
-                    reference_issue.install(monkeypatch)
+                snake_reached = (
+                    reference_snake.install(monkeypatch) if snake_ref
+                    else Counter()
+                )
+                issue_reached = (
+                    reference_issue.install(monkeypatch) if issue_ref
+                    else Counter()
+                )
                 stats = simulate(kernel, prefetcher=mech, config=GPUConfig())
             assert stats == reference, (
                 "stats diverged with reference snake=%s issue=%s"
                 % (snake_ref, issue_ref)
             )
+            # Each installed reference must have been reached.
+            if snake_ref and mech != "intra":
+                assert snake_reached["detect"] > 0
+                assert snake_reached["generate"] > 0
+            if issue_ref:
+                assert issue_reached["trigger"] == triggers["trigger"]

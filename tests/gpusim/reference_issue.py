@@ -8,11 +8,13 @@ the original shape: per request, read the NoC utilization and ask the
 throttle; on a refusal count one throttled drop (and emit one
 ``ThrottleEvent``); otherwise coalesce the request and call
 ``UnifiedL1Cache.prefetch`` once per line, emitting a
-``PrefetchIssueEvent`` for each line that left for L2.  Nothing in
-production calls it; the differential tests install it over
-``SM._issue_prefetches``.
+``PrefetchIssueEvent`` for each line that left for L2.  It reads the
+NoC for every vote, so it ignores the reading the SM's depth cap already
+took.  Nothing in production calls it; the differential tests install it
+over ``SM._issue_prefetches`` and check the count :func:`install` returns.
 """
 
+from collections import Counter
 from typing import List, Tuple
 
 from repro.gpusim.coalescer import coalesce_lines
@@ -57,6 +59,15 @@ def reference_issue_prefetches(
                 ))
 
 
-def install(monkeypatch) -> None:
-    """Make every SM in the test issue through the reference lane."""
-    monkeypatch.setattr(SM, "_issue_prefetches", reference_issue_prefetches)
+def install(monkeypatch) -> Counter:
+    """Make every SM in the test issue through the reference lane.
+    Returns a counter whose ``"trigger"`` entry counts the triggers that
+    reached it, so a test can show the reference really ran."""
+    reached: Counter = Counter()
+
+    def counted(sm, requests, instr, utilization):
+        reached["trigger"] += 1
+        reference_issue_prefetches(sm, requests, instr)
+
+    monkeypatch.setattr(SM, "_issue_prefetches", counted)
+    return reached

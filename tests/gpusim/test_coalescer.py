@@ -8,7 +8,6 @@ from repro.gpusim.coalescer import (
     coalesce_lines,
     coalesce_sectors,
     line_of,
-    num_transactions,
 )
 from repro.gpusim.trace import Op, WarpInstr
 
@@ -55,8 +54,8 @@ class TestCoalesce:
             coalesce(load(0, 4), 32, 0)
 
     def test_num_transactions(self):
-        assert num_transactions(load(0, 4), 32, 128) == 1
-        assert num_transactions(load(0, 128), 32, 128) == 32
+        assert len(coalesce(load(0, 4), 32, 128)) == 1
+        assert len(coalesce(load(0, 128), 32, 128)) == 32
 
 
 class TestCoalesceProperties:

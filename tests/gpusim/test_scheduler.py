@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.gpusim.scheduler import GTOScheduler, RRScheduler, make_scheduler
 
@@ -58,6 +59,23 @@ class TestRR:
     def test_raises_on_empty(self):
         with pytest.raises(ValueError):
             RRScheduler().pick([])
+
+    @given(
+        ids=st.lists(st.integers(0, 63), min_size=1, max_size=16, unique=True),
+        last=st.integers(-1, 64),
+    )
+    def test_pick_matches_sorted_scan(self, ids, last):
+        """The original shape: sort the ready set by warp id, take the
+        first id at or after the rotation point, else the lowest."""
+        sched = RRScheduler()
+        if last >= 0:
+            sched.note_issued(FakeWarp(last))
+        ready = warps(*ids)
+        ordered = sorted(ready, key=lambda w: w.warp_id)
+        expected = next(
+            (w for w in ordered if w.warp_id >= sched._next), ordered[0]
+        )
+        assert sched.pick(ready) is expected
 
 
 class TestFactory:

@@ -1,10 +1,13 @@
-"""Differential tests for the event-driven skip-ahead core.
+"""Differential tests for the event-driven skip-ahead core and the SM
+issue path.
 
 The contract (docs/PERFORMANCE.md): the event core and the naive
 reference loop in ``reference_loop.py`` are **cycle-identical** — not
 statistically close, byte-equal on every counter, for every mechanism,
-storage mode, topology, and even under chaos faults (the shared RNG
-stream must be consulted in the same order at the same cycles).
+storage mode, topology, scheduler, and even under chaos faults (the
+shared RNG stream must be consulted in the same order at the same
+cycles).  The reference loop issues through its own naive copy of the
+issue path, so these tests pin ``SM._issue`` as well as the event core.
 """
 
 import pytest
@@ -22,8 +25,9 @@ def event_and_reference(run):
     installed; returns both results."""
     event = run()
     with pytest.MonkeyPatch.context() as monkeypatch:
-        reference_loop.install(monkeypatch)
+        reached = reference_loop.install(monkeypatch)
         reference = run()
+    assert reached["issue"] > 0, "the reference loop never issued"
     return event, reference
 
 
@@ -45,6 +49,8 @@ class TestCycleIdentical:
         ("hotspot", "snake"),
         ("hotspot", "intra"),
         ("backprop", "s-snake"),
+        ("backprop", "none"),
+        ("mrq", "snake"),
         ("mum", "snake-dt"),
     ])
     def test_stats_identical_across_mechanisms(self, app, mechanism):
@@ -61,9 +67,21 @@ class TestCycleIdentical:
         event, legacy = both_loops("hotspot", "snake", config=config)
         assert event == legacy
 
+    @pytest.mark.parametrize("scheduler", ["rr", "two_level"])
+    @pytest.mark.parametrize("app", ["lps", "backprop"])
+    def test_stats_identical_across_schedulers(self, scheduler, app):
+        config = GPUConfig.scaled().with_(scheduler=scheduler)
+        event, legacy = both_loops(app, "snake", config=config)
+        assert event == legacy
+
     def test_stats_identical_with_sectored_l1(self):
         config = GPUConfig.scaled().with_(l1_sector_bytes=32)
         event, legacy = both_loops("lps", "snake", config=config)
+        assert event == legacy
+
+    def test_barrier_kernel_identical_with_sectored_l1(self):
+        config = GPUConfig.scaled().with_(l1_sector_bytes=32)
+        event, legacy = both_loops("backprop", "snake", config=config)
         assert event == legacy
 
     def test_stats_identical_with_sanitizer(self):
@@ -147,9 +165,10 @@ class TestReferenceLoop:
         def unreachable(sm):
             raise AssertionError("SM.step_event ran under the reference loop")
 
-        reference_loop.install(monkeypatch)
+        reached = reference_loop.install(monkeypatch)
         monkeypatch.setattr(SM, "step_event", unreachable)
         stats = simulate(
             build_kernel("lps", scale=SCALE, seed=1), prefetcher="snake"
         )
         assert stats.instructions > 0
+        assert reached["issue"] > 0

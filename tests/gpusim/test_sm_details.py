@@ -2,6 +2,7 @@
 per-app tagging, prefetcher pipeline latency."""
 
 from repro.core.throttle import NullThrottle
+from repro.gpusim.coalescer import coalesce_lines
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.dram import DRAM
 from repro.gpusim.l2 import L2Cache
@@ -95,11 +96,18 @@ class TestPrefetchFootprint:
         sm = make_sm(config, prefetcher=OneShot())
         original = sm.l1.prefetch_trigger
 
-        def spy(vectors, requests, pc, now, issue_at, throttle):
+        def spy(requests, stride, size_bytes, pc, now, issue_at, throttle,
+                utilization=None):
             issued_at.extend(
-                (line, issue_at) for vector in vectors for line in vector
+                (line, issue_at)
+                for base_addr, _depth in requests
+                for line in coalesce_lines(
+                    base_addr, stride, size_bytes, config.warp_size,
+                    sm.l1.line_bytes,
+                )
             )
-            return original(vectors, requests, pc, now, issue_at, throttle)
+            return original(requests, stride, size_bytes, pc, now, issue_at,
+                            throttle, utilization)
 
         sm.l1.prefetch_trigger = spy
         load = WarpInstr(pc=1, op=Op.LOAD, base_addr=0, thread_stride=0)

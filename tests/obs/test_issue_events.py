@@ -64,10 +64,11 @@ def test_event_stream_matches_reference_issue(mechanism, machine, refusal,
                                               faults):
     events, stats = _traced("lps", mechanism, machine, faults)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        reference_issue.install(monkeypatch)
+        reached = reference_issue.install(monkeypatch)
         reference_events, reference_stats = _traced(
             "lps", mechanism, machine, faults
         )
+    assert reached["trigger"] > 0, "the reference issue lane never ran"
     assert stats == reference_stats
     kinds = Counter(type(event).__name__ for event in events)
     assert kinds["PrefetchIssueEvent"] and kinds["PrefetchDropEvent"]
