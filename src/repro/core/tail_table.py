@@ -25,7 +25,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from .head_table import SNAPSHOT_VERSION
 
@@ -42,9 +43,10 @@ class TrainState(enum.Enum):
         return self is not TrainState.NOT_TRAINED
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class TailEntry:
-    """One chain link."""
+    """One chain link (compared by identity: the table removes the
+    entry object itself)."""
 
     pc1: int
     pc2: int
@@ -55,7 +57,12 @@ class TailEntry:
     t2: TrainState = TrainState.NOT_TRAINED
     inter_warp_stride: Optional[int] = None
     last_use: int = 0
-    _intra_votes: dict = field(default_factory=dict, repr=False)
+    # Intra-warp stride votes: distinct-voter count per stride, and the
+    # (stride, warp) pairs already counted.
+    _intra_votes: Dict[int, int] = field(default_factory=dict, repr=False)
+    _intra_voters: Set[Tuple[int, int]] = field(
+        default_factory=set, repr=False
+    )
 
     def has_warp(self, warp_id: int) -> bool:
         return bool(self.warp_vector >> (warp_id % 64) & 1)
@@ -63,6 +70,10 @@ class TailEntry:
     @property
     def popcount(self) -> int:
         return self.warp_vector.bit_count()
+
+
+_LAST_USE = attrgetter("last_use")
+_POPCOUNT = attrgetter("popcount")
 
 
 class TailTable:
@@ -104,17 +115,11 @@ class TailTable:
         self._pc_index.setdefault(entry.pc1, []).append(entry)
 
     def _remove(self, entry: TailEntry) -> None:
-        for i, candidate in enumerate(self._entries):
-            if candidate is entry:
-                del self._entries[i]
-                break
-        bucket = self._pc_index.get(entry.pc1, [])
-        for i, candidate in enumerate(bucket):
-            if candidate is entry:
-                del bucket[i]
-                break
+        self._entries.remove(entry)
+        bucket = self._pc_index[entry.pc1]
+        bucket.remove(entry)
         if not bucket:
-            self._pc_index.pop(entry.pc1, None)
+            del self._pc_index[entry.pc1]
 
     # ------------------------------------------------------------------
 
@@ -204,9 +209,11 @@ class TailTable:
         else:
             # The LRU candidate group must hold at least two entries or the
             # popcount tie-break could never save a well-confirmed chain.
+            # The group is in stable last_use order, so its first entry
+            # with the fewest warp bits is the (popcount, last_use) minimum.
             group_size = max(2, math.ceil(len(self._entries) / 4))
-            lru_group = sorted(self._entries, key=lambda e: e.last_use)[:group_size]
-            victim = min(lru_group, key=lambda e: (e.popcount, e.last_use))
+            lru_group = sorted(self._entries, key=_LAST_USE)[:group_size]
+            victim = min(lru_group, key=_POPCOUNT)
         self._remove(victim)
 
     def record(self, warp_id: int, pc1: int, pc2: int, stride: int) -> TailEntry:
@@ -270,19 +277,23 @@ class TailTable:
                 self._evict_one()
             self._install(entry)
             bucket = self._pc_index[pc]
-        tick = self._tick
+        tick, threshold = self._tick, self.train_threshold
+        pair = (stride, warp_id)
         for entry in bucket:
             by_stride = entry._intra_votes
-            votes = by_stride.get(stride)
-            if votes is None:
-                votes = by_stride[stride] = set()
-            votes.add(warp_id)
-            if entry.intra_stride == stride:
-                if len(votes) >= self.train_threshold:
+            voters = entry._intra_voters
+            if pair in voters:
+                votes = by_stride[stride]
+            else:
+                voters.add(pair)
+                votes = by_stride[stride] = by_stride.get(stride, 0) + 1
+            current = entry.intra_stride
+            if current == stride:
+                if votes >= threshold:
                     entry.t2 = TrainState.TRAINED
-            elif len(votes) >= len(by_stride.get(entry.intra_stride, ())):
+            elif current is None or votes >= by_stride.get(current, 0):
                 entry.intra_stride = stride
-                if len(votes) >= self.train_threshold:
+                if votes >= threshold:
                     entry.t2 = TrainState.TRAINED
                 elif entry.t2 is not TrainState.TRAINED:
                     entry.t2 = TrainState.NOT_TRAINED
@@ -337,10 +348,7 @@ class TailTable:
                     "t2": e.t2.value,
                     "inter_warp_stride": e.inter_warp_stride,
                     "last_use": e.last_use,
-                    "intra_votes": [
-                        [stride, sorted(voters)]
-                        for stride, voters in e._intra_votes.items()
-                    ],
+                    "intra_votes": _voter_lists(e),
                 }
                 for e in self._entries
             ],
@@ -389,7 +397,9 @@ class TailTable:
                 last_use=int(raw["last_use"]),
             )
             for stride, voters in raw["intra_votes"]:
-                entry._intra_votes[int(stride)] = {int(v) for v in voters}
+                pairs = {(int(stride), int(v)) for v in voters}
+                entry._intra_votes[int(stride)] = len(pairs)
+                entry._intra_voters |= pairs
             table._install(entry)
         return table
 
@@ -448,3 +458,12 @@ class TailTable:
                     % (label, start, hops, bound)
                 )
         return violations
+
+
+def _voter_lists(entry: TailEntry) -> List[List[Any]]:
+    """``entry``'s intra-stride votes as ``[stride, sorted(voters)]`` pairs
+    in vote insertion order: the voter pairs regrouped by stride."""
+    by_stride: Dict[int, List[int]] = {s: [] for s in entry._intra_votes}
+    for stride, warp_id in entry._intra_voters:
+        by_stride[stride].append(warp_id)
+    return [[stride, sorted(voters)] for stride, voters in by_stride.items()]

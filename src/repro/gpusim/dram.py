@@ -68,6 +68,19 @@ class DRAM:
         self.reads = 0
         self.row_hits = 0
         self.row_misses = 0
+        # Table 1 timings converted to core cycles once: tRC, the burst
+        # (the channel's busy offset) and, for a row hit and a row miss,
+        # the (done, bank busy) offsets from the start, indexed by is_write.
+        t, cycles = timings, self._core_cycles
+        burst = max(t.t_ccd, line_bytes // self.BURST_BYTES_PER_MEM_CYCLE)
+        self._t_rc = cycles(t.t_rc)
+        self._burst = cycles(burst)
+        self._hit_offsets, self._miss_offsets = (
+            ((cycles(cas + burst),) * 2,
+             (cycles(cas + t.t_wl + burst),
+              cycles(cas + t.t_wl + burst + t.t_wr)))
+            for cas in (t.t_cl, t.t_rp + t.t_rcd + t.t_cl)
+        )
 
     def _core_cycles(self, mem_cycles: int) -> int:
         return max(1, round(mem_cycles / self.clock_ratio))
@@ -87,7 +100,6 @@ class DRAM:
         """Service one line transfer; returns its completion time (core
         cycles).  Demand requests (``priority=True``) schedule ahead of
         best-effort prefetch traffic, which queues behind everything."""
-        t = self.timings
         ch_idx, bank_no, bank, row = self._map(line_addr)
         channel = self._channels[ch_idx]
         if priority:
@@ -97,7 +109,7 @@ class DRAM:
 
         if bank.open_row == row:
             self.row_hits += 1
-            access_mem_cycles = t.t_cl if not is_write else t.t_cl + t.t_wl
+            done_offset, busy_offset = self._hit_offsets[is_write]
         else:
             self.row_misses += 1
             # Respect the minimum activate-to-activate spacing (tRC) within
@@ -105,7 +117,7 @@ class DRAM:
             reference = (
                 bank.last_priority_activate if priority else bank.last_activate
             )
-            start = max(start, reference + self._core_cycles(t.t_rc))
+            start = max(start, reference + self._t_rc)
             bank.last_activate = max(bank.last_activate, start)
             if priority:
                 bank.last_priority_activate = max(
@@ -119,18 +131,11 @@ class DRAM:
                         row=row,
                     )
                 )
-            access_mem_cycles = t.t_rp + t.t_rcd + t.t_cl
-            if is_write:
-                access_mem_cycles += t.t_wl
+            done_offset, busy_offset = self._miss_offsets[is_write]
 
-        burst_mem_cycles = max(
-            t.t_ccd, self.line_bytes // self.BURST_BYTES_PER_MEM_CYCLE
-        )
-        done = start + self._core_cycles(access_mem_cycles + burst_mem_cycles)
-        bank_busy_until = start + self._core_cycles(
-            access_mem_cycles + burst_mem_cycles + (t.t_wr if is_write else 0)
-        )
-        channel_busy_until = start + self._core_cycles(burst_mem_cycles)
+        done = start + done_offset
+        bank_busy_until = start + busy_offset
+        channel_busy_until = start + self._burst
         bank.next_free = max(bank.next_free, bank_busy_until)
         channel.next_free = max(channel.next_free, channel_busy_until)
         if priority:

@@ -9,18 +9,27 @@ best-confirmed link picked by a ``(has this warp, popcount)`` key, and
 
 ``SnakePrefetcher._detect`` and the Tail table's ``record_intra`` /
 ``record_inter_warp`` scan CAM buckets in place, advance the LRU tick
-inline and build a tracker, slot list or vote set only for a missing
-key.  The training functions below are their original shape:
-``setdefault(key, <new object>)`` on every vote, bucket copies through
-``find()`` and one :func:`touch` per updated entry.
+inline and build a tracker or slot list only for a missing key; the
+Tail table counts intra-stride voters and remembers ``(stride, warp)``
+pairs, evicts through one ``attrgetter`` sort and removes entries with
+``list.remove``.  The training code below is the original shape:
+``setdefault(key, <new object>)`` on every vote, one voter *set* per
+(entry, stride) in :class:`ReferenceTailTable`, bucket copies through
+``find()``, one :func:`touch` per updated entry, a lambda-keyed LRU sort
+plus ``(popcount, last_use)`` minimum on eviction and identity scans on
+removal.
 
-They take the learner (or its Tail table) as their first argument and
-read and write its tables; nothing in production calls them.
+The functions take the learner (or its Tail table) as their first
+argument and read and write its tables; nothing in production calls
+them.
 """
 
+import math
 from collections import Counter
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core import snake as snake_module
+from repro.core.head_table import HeadTable
 from repro.core.snake import SnakePrefetcher
 from repro.core.tail_table import TailEntry, TailTable, TrainState
 from repro.obs.events import ChainWalkEvent
@@ -34,37 +43,85 @@ def touch(tail: TailTable, entry: TailEntry) -> None:
     entry.last_use = tail._tick
 
 
-def record_intra(tail: TailTable, warp_id: int, pc: int, stride: int) -> None:
-    """``TailTable.record_intra`` through two ``find`` calls: create a
-    self-link when no entry for ``pc`` exists, then vote on every entry
-    of the PC and promote the stride ``train_threshold`` warps agree on."""
-    if not tail.find(pc):
-        entry = TailEntry(pc1=pc, pc2=pc, inter_thread_stride=stride)
-        if len(tail._entries) >= tail.capacity:
-            tail._evict_one()
-        tail._install(entry)
-    for entry in tail.find(pc):
-        votes = entry._intra_votes.setdefault(stride, set())
-        votes.add(warp_id)
-        if entry.intra_stride == stride:
-            if len(votes) >= tail.train_threshold:
-                entry.t2 = TrainState.TRAINED
-        elif len(votes) >= len(
-            entry._intra_votes.get(entry.intra_stride, set())
-        ):
-            entry.intra_stride = stride
-            if len(votes) >= tail.train_threshold:
-                entry.t2 = TrainState.TRAINED
-            elif entry.t2 is not TrainState.TRAINED:
-                entry.t2 = TrainState.NOT_TRAINED
-        touch(tail, entry)
+class ReferenceTailTable(TailTable):
+    """A Tail table whose training, eviction and removal are the original
+    naive code.  ``_intra_votes`` maps each stride to its set of voters
+    (``_intra_voters`` stays empty), so the snapshot and restore
+    overrides read and write those sets directly."""
 
+    def _remove(self, entry: TailEntry) -> None:
+        for i, candidate in enumerate(self._entries):
+            if candidate is entry:
+                del self._entries[i]
+                break
+        bucket = self._pc_index.get(entry.pc1, [])
+        for i, candidate in enumerate(bucket):
+            if candidate is entry:
+                del bucket[i]
+                break
+        if not bucket:
+            self._pc_index.pop(entry.pc1, None)
 
-def record_inter_warp(tail: TailTable, pc: int, stride: int) -> None:
-    """``TailTable.record_inter_warp`` through one ``find`` call."""
-    for entry in tail.find(pc):
-        entry.inter_warp_stride = stride
-        touch(tail, entry)
+    def _evict_one(self) -> None:
+        self.evictions += 1
+        if self.eviction == "pop":
+            victim = min(self._entries, key=lambda e: (e.popcount, e.last_use))
+        else:
+            group_size = max(2, math.ceil(len(self._entries) / 4))
+            lru_group = sorted(self._entries, key=lambda e: e.last_use)[:group_size]
+            victim = min(lru_group, key=lambda e: (e.popcount, e.last_use))
+        self._remove(victim)
+
+    def record_intra(self, warp_id: int, pc: int, stride: int) -> None:
+        """``TailTable.record_intra`` through two ``find`` calls: create a
+        self-link when no entry for ``pc`` exists, then vote on every
+        entry of the PC and promote the stride ``train_threshold`` warps
+        agree on."""
+        if not self.find(pc):
+            entry = TailEntry(pc1=pc, pc2=pc, inter_thread_stride=stride)
+            if len(self._entries) >= self.capacity:
+                self._evict_one()
+            self._install(entry)
+        for entry in self.find(pc):
+            votes = entry._intra_votes.setdefault(stride, set())
+            votes.add(warp_id)
+            if entry.intra_stride == stride:
+                if len(votes) >= self.train_threshold:
+                    entry.t2 = TrainState.TRAINED
+            elif len(votes) >= len(
+                entry._intra_votes.get(entry.intra_stride, set())
+            ):
+                entry.intra_stride = stride
+                if len(votes) >= self.train_threshold:
+                    entry.t2 = TrainState.TRAINED
+                elif entry.t2 is not TrainState.TRAINED:
+                    entry.t2 = TrainState.NOT_TRAINED
+            touch(self, entry)
+
+    def record_inter_warp(self, pc: int, stride: int) -> None:
+        """``TailTable.record_inter_warp`` through one ``find`` call."""
+        for entry in self.find(pc):
+            entry.inter_warp_stride = stride
+            touch(self, entry)
+
+    def snapshot(self) -> Dict[str, Any]:
+        image = super().snapshot()
+        for raw, entry in zip(image["entries"], self._entries):
+            raw["intra_votes"] = [
+                [stride, sorted(voters)]
+                for stride, voters in entry._intra_votes.items()
+            ]
+        return image
+
+    @classmethod
+    def restore(cls, data: Mapping[str, Any]) -> "ReferenceTailTable":
+        table = super().restore(data)
+        for entry, raw in zip(table._entries, data["entries"]):
+            entry._intra_voters = set()
+            entry._intra_votes = {}
+            for stride, voters in raw["intra_votes"]:
+                entry._intra_votes[int(stride)] = {int(v) for v in voters}
+        return table
 
 
 def vote(tracker: ConsensusTracker, voter: int, stride: int) -> Optional[int]:
@@ -86,6 +143,7 @@ def detect(
     ``ConsensusTracker`` per ``setdefault`` and the reference Tail
     updates above."""
     tail = learner.tail
+    assert isinstance(tail, ReferenceTailTable)
     transition = learner.head.update(warp_id, pc, base_addr)
     if transition is not None and transition[1] != 0:
         tail.record(warp_id, transition[0], pc, transition[1])
@@ -94,7 +152,7 @@ def detect(
         key = (app_id, warp_id, pc)
         last = learner._intra_last.get(key)
         if last is not None and base_addr != last:
-            record_intra(tail, warp_id, pc, base_addr - last)
+            tail.record_intra(warp_id, pc, base_addr - last)
         learner._intra_last[key] = base_addr
 
     if learner.use_inter_warp:
@@ -111,7 +169,7 @@ def detect(
                 )
                 trained = vote(tracker, warp_id, delta // gap)
                 if trained is not None:
-                    record_inter_warp(tail, pc, trained)
+                    tail.record_inter_warp(pc, trained)
         slots.append((warp_id, base_addr))
         if len(slots) > 2:
             del slots[0]
@@ -234,9 +292,42 @@ def generate(
 
 
 class ReferenceSnake(SnakePrefetcher):
-    """A Snake learner that trains through :func:`detect` and predicts
-    through :func:`generate`; the Head table and ``TailTable.record``
-    are the production ones."""
+    """A Snake learner that trains through :func:`detect` into
+    :class:`ReferenceTailTable` tables and predicts through :func:`generate`;
+    the Head table and ``TailTable.record`` are the production ones."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self.tail = ReferenceTailTable(
+            capacity=self._tail_entries,
+            train_threshold=self.train_threshold,
+            eviction=self._eviction,
+        )
+        self._app_tables[0] = (self.head, self.tail)
+
+    def _select_app(self, app_id: int) -> None:
+        if self.per_app and app_id not in self._app_tables:
+            self._app_tables[app_id] = (
+                HeadTable(capacity=self._head_entries),
+                ReferenceTailTable(
+                    capacity=self._tail_entries,
+                    train_threshold=self.train_threshold,
+                    eviction=self._eviction,
+                ),
+            )
+        super()._select_app(app_id)
+
+    @classmethod
+    def restore(cls, data: Mapping[str, Any]) -> "ReferenceSnake":
+        learner = super().restore(data)
+        assert isinstance(learner, ReferenceSnake)
+        for app_id, _, tail in data["app_tables"]:
+            head = learner._app_tables[int(app_id)][0]
+            learner._app_tables[int(app_id)] = (
+                head, ReferenceTailTable.restore(tail)
+            )
+        learner.head, learner.tail = learner._app_tables[0]
+        return learner
 
     def _detect(
         self, warp_id: int, pc: int, base_addr: int, app_id: int
@@ -257,10 +348,12 @@ class ReferenceSnake(SnakePrefetcher):
 
 def install(monkeypatch) -> Counter:
     """Make every Snake learner in the test train through :func:`detect`
-    and predict through :func:`generate`.  Returns a counter of the
-    ``"detect"`` and ``"generate"`` calls that reached them, so a test can
-    show the references really ran."""
+    into :class:`ReferenceTailTable` tables and predict through
+    :func:`generate`.  Returns a counter of the ``"detect"`` and
+    ``"generate"`` calls that reached them, so a test can show the
+    references really ran."""
     reached: Counter = Counter()
+    monkeypatch.setattr(snake_module, "TailTable", ReferenceTailTable)
 
     def counted_detect(learner, *args):
         reached["detect"] += 1

@@ -1,14 +1,16 @@
 """Property tests pinning the hot path to its naive references.
 
 The production lanes (Snake's training in ``SnakePrefetcher._detect``
-and the Tail table's in-place ``record_intra``/``record_inter_warp``,
+and the Tail table's in-place ``record_intra``/``record_inter_warp``
+with its counted votes and its eviction,
 ``TailTable.walk_raw`` under ``SnakePrefetcher._generate_raw``,
 ``observe_raw``, and the SM/L1 ``prefetch_trigger`` issue path) are
 performance refactors of the naive references kept beside these tests
 (``reference_snake.py``, ``tests/gpusim/reference_issue.py``), and these
 tests are the pin — hypothesis-generated access streams, seeds and chain
-shapes (including forced Tail evictions, mid-stream stride changes and
-the fault injector's in-field corruption modes) must produce identical
+shapes (including forced Tail evictions, mid-stream stride changes,
+data-dependent tree walks that fill one CAM bucket and the fault
+injector's in-field corruption modes) must produce identical
 predictions, learner snapshots (byte for byte, after every event) and
 statistics on both paths.
 """
@@ -38,11 +40,19 @@ def _stream(seed, length, pcs, warps, chain_shape):
     ``chain_shape`` picks the pc ordering: ``loop`` sweeps pcs cyclically
     per warp (stable chains), ``churn`` picks pcs at random (constant
     Tail eviction pressure on a small table), ``mixed`` alternates and
-    sprinkles divergent accesses, and ``shift`` sweeps like ``loop`` but
+    sprinkles divergent accesses, ``shift`` sweeps like ``loop`` but
     changes every PC's per-warp stride halfway through (warps disagree
-    on the new stride, so intra-warp votes split between rivals).
+    on the new stride, so intra-warp votes split between rivals), and
+    ``tree`` is a data-dependent tree walk (MUM's shape) over one PC
+    pair: each warp hops to a random node at the first PC and reads a
+    child at the second, at a stride that depends on the warp and the
+    node, so the first PC's bucket holds dozens of entries, every entry
+    collects votes for many intra-warp strides, and a small Tail evicts
+    every few events.
     """
     rng = random.Random(seed)
+    if chain_shape == "tree":
+        return _tree_stream(rng, length, warps)
     pc_list = [0x100 + 4 * i for i in range(pcs)]
     strides = {pc: 32 * (1 + i % 5) for i, pc in enumerate(pc_list)}
     cursors = {}
@@ -69,6 +79,28 @@ def _stream(seed, length, pcs, warps, chain_shape):
     return events
 
 
+def _tree_stream(rng, length, warps):
+    """The ``tree`` shape of :func:`_stream` (``pcs`` is ignored)."""
+    node_pc, child_pc = 0x100, 0x104
+    at_node = {}
+    events = []
+    for k in range(length):
+        warp = rng.randrange(warps)
+        node = at_node.pop(warp, None)
+        if node is None:
+            node = rng.randrange(64)
+            pc, addr = node_pc, 0x4000 + 256 * node
+            at_node[warp] = node
+        else:
+            pc = child_pc
+            addr = 0x4000 + 256 * node + 32 * (1 + node * (warp + 1) % 40)
+        events.append(AccessEvent(
+            warp_id=warp, cta_id=0, pc=pc, base_addr=addr, line_addr=addr,
+            now=k,
+        ))
+    return events
+
+
 def _make_pair(tail_entries, depth):
     """(production, reference) learners with identical knobs."""
     kwargs = dict(
@@ -89,7 +121,7 @@ STREAMS = st.tuples(
     st.integers(32, 300),                        # length
     st.integers(2, 10),                          # distinct pcs
     st.integers(1, 12),                          # warps
-    st.sampled_from(["loop", "churn", "mixed", "shift"]),
+    st.sampled_from(["loop", "churn", "mixed", "shift", "tree"]),
 )
 
 
@@ -129,6 +161,29 @@ class TestLearnerParity:
                 e.inter_warp_stride is not None for e in entries
             )
         assert rival and inter_warp
+
+    @pytest.mark.parametrize("tail_entries", [4, 64])
+    def test_tree_stream_fills_buckets_and_evicts(self, tail_entries):
+        """The ``tree`` shape fills one bucket (with dozens of entries in a
+        64-entry Tail), gives entries votes for many strides and evicts
+        every few events, with both learners in lockstep."""
+        production, reference = _make_pair(tail_entries, 16)
+        events = _stream(5, 600, 2, 8, "tree")
+        widest = most_strides = 0
+        for event in events:
+            got = [(r.base_addr, r.depth) for r in production.observe(event)]
+            want = [(r.base_addr, r.depth) for r in reference.observe(event)]
+            assert got == want
+            assert _state(production) == _state(reference)
+            widest = max(widest, len(production.tail._pc_index.get(0x100, ())))
+            most_strides = max(
+                [most_strides]
+                + [len(e._intra_votes) for e in production.tail.entries()]
+            )
+        assert production.tail.evictions == reference.tail.evictions
+        assert production.tail.evictions > len(events) // 4
+        assert most_strides >= 12
+        assert widest >= (24 if tail_entries == 64 else tail_entries)
 
     @settings(max_examples=25, deadline=None)
     @given(params=STREAMS, tail_entries=st.integers(2, 24))

@@ -2,6 +2,8 @@
 the read-only-ness of every query path (what recovery certification
 rests on)."""
 
+import json
+
 import pytest
 
 from repro.serve.state import (
@@ -374,3 +376,50 @@ def test_snapshot_roundtrip_after_batched_traffic():
     for record in more:
         clone.apply(*record)
     assert clone.state_digest() == state.state_digest()
+
+
+# Warp ids at the 64-bit warp-vector boundary and the protocol maximum.
+_BOUNDARY_WARPS = (0, 63, 64, (1 << 64) - 1)
+
+
+def test_boundary_warp_votes_round_trip_exactly():
+    """Intra-warp stride votes from warps 0, 63, 64 and 2**64 - 1 (0 and
+    64, 63 and 2**64 - 1 share a warp-vector bit) are kept per warp id:
+    every entry of the PC lists each stride with exactly those voters,
+    and snapshot -> restore -> snapshot is byte-identical, digest
+    included."""
+    state = ServiceState(ServeConfig(shards=1))
+    state.admit("x")
+    addrs = {warp: 0x10000 for warp in _BOUNDARY_WARPS}
+    for delta in (0, 64, 64, 128, -192, 32):
+        for warp in _BOUNDARY_WARPS:
+            addrs[warp] += delta
+            state.apply("x", warp, 16, addrs[warp])
+
+    # Pinned: the digest a voter set per (entry, stride) produced; the
+    # counts-and-pairs encoding must serialize to the same bytes.
+    assert state.state_digest() == (
+        "12e7092409122e776f55cbf1ea0a715ba4002d91d1dba92a32cc860ca8e04f56"
+    )
+    image = state.snapshot()
+    app_id, _, tail = image["sessions"][0][1]["shards"][0]["app_tables"][0]
+    assert app_id == 0
+    voters = sorted(_BOUNDARY_WARPS)
+    first = tail["entries"][0]
+    assert first["intra_votes"] == [
+        [64, voters], [128, voters], [-192, voters], [32, voters],
+    ]
+    for entry in tail["entries"]:
+        for _, ids in entry["intra_votes"]:
+            assert ids == voters
+
+    clone = ServiceState.restore(json.loads(json.dumps(image)))
+    assert json.dumps(clone.snapshot()) == json.dumps(image)
+    assert clone.state_digest() == state.state_digest()
+    # The restored counts and voter pairs keep deduplicating repeats.
+    for s in (state, clone):
+        for warp in _BOUNDARY_WARPS:
+            s.apply("x", warp, 16, addrs[warp] + 32)
+    assert clone.state_digest() == state.state_digest() == (
+        "9b61a44def207106235a3f0d62d3bd6bcfea7b55c1bb0c5a08aae4c1f7262079"
+    )
