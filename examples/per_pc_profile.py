@@ -14,7 +14,7 @@ Run with::
 
 import sys
 
-from repro.analysis.profile import profile_kernel
+from repro.obs.runner import traced_run
 from repro.workloads import BENCHMARKS
 
 
@@ -25,9 +25,13 @@ def main() -> None:
         raise SystemExit("unknown app %r; choose from %s" % (app, BENCHMARKS))
 
     print("per-PC profile: app=%s mechanism=%s" % (app, mechanism))
-    rows = profile_kernel(app, mechanism, scale=1.0, seed=7)
+    result = traced_run(app, mechanism, scale=1.0, seed=7, chrome=False)
+    rows = result.pc_metrics.pcs_by_accesses()
     for row in rows:
-        print("  " + row.as_row())
+        print("  pc=%-8s n=%6d hit=%5.1f%% covered=%5.1f%% timely=%5.1f%%" % (
+            hex(row.pc), row.accesses, 100 * row.hit_rate,
+            100 * row.coverage, 100 * row.timely / max(row.accesses, 1),
+        ))
     total = sum(r.accesses for r in rows)
     covered = sum(r.covered for r in rows)
     print("overall coverage: %.1f%% of %d demand loads"

@@ -1,6 +1,6 @@
-"""Metrics, chain analysis, per-figure experiments, claims checking,
-profiling, and export."""
+"""Metrics, chain analysis, per-figure experiments, claims checking and
+export."""
 
-from . import chains, claims, export, profile, report
+from . import chains, claims, export, report
 
-__all__ = ["chains", "claims", "export", "profile", "report"]
+__all__ = ["chains", "claims", "export", "report"]

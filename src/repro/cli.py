@@ -186,6 +186,13 @@ RAW_EXPERIMENTS = {
 }
 
 
+def _row_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def _obs_parser(command: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snake-repro " + command,
@@ -209,19 +216,13 @@ def _obs_parser(command: str) -> argparse.ArgumentParser:
         "(default: GPUConfig.telemetry_bucket_cycles)",
     )
     parser.add_argument(
-        "--top", type=int, default=20, help="rows per metrics table"
+        "--top", type=_row_count, default=20,
+        help="rows per metrics table (0: every row)",
     )
     if command == "trace":
         parser.add_argument(
             "--out", metavar="PATH", default=None,
             help="Chrome-trace JSON path (default <app>.trace.json)",
-        )
-    else:
-        parser.add_argument(
-            "--hot", action="store_true",
-            help="attribute host wall time to the hot components "
-            "(table-walk / issue / coalesce / cache) instead of "
-            "reporting cycle-domain metrics; see docs/OBSERVABILITY.md",
         )
     return parser
 
@@ -231,19 +232,6 @@ def _run_obs_command(command: str, argv) -> int:
     from repro.obs.runner import traced_run
 
     args = _obs_parser(command).parse_args(argv)
-    if command == "profile" and args.hot:
-        from repro.obs.hotprof import hot_profile_run
-
-        try:
-            profile = hot_profile_run(
-                args.app, mechanism=args.mechanism, scale=args.scale,
-                seed=args.seed,
-            )
-        except (KeyError, ValueError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(profile.render())
-        return 0
     bucket = (
         args.bucket
         if args.bucket is not None

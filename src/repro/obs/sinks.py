@@ -6,7 +6,8 @@ Three consumers cover the paper's analysis axes:
   time axis the aggregate :class:`~repro.gpusim.stats.SimStats` cannot
   show).
 * :class:`PCMetricsSink` — per-PC and per-warp aggregation (Figs 9-11's
-  per-load view; the substrate of :func:`repro.analysis.profile.profile_kernel`).
+  per-load view; :func:`repro.obs.runner.traced_run` returns it, and
+  ``pcs_by_accesses()`` is the library's per-PC profile).
 * :class:`ChromeTraceExporter` — a ``chrome://tracing`` /
   ``ui.perfetto.dev`` JSON file with per-SM counter tracks and instant
   events for throttle halts.

@@ -10,6 +10,7 @@ public entry point::
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List
 
 from repro.gpusim.trace import KernelTrace
@@ -72,8 +73,12 @@ def build_kernel(name: str, **kwargs) -> KernelTrace:
     (``EXTENDED_BENCHMARKS``: spmv, bfs, kmeans, stream).  Common keyword
     arguments: ``scale`` (iteration multiplier, default 1.0), ``seed`` (for
     the irregular components), ``grid`` (a
-    :class:`~repro.workloads.patterns.GridShape`).
+    :class:`~repro.workloads.patterns.GridShape`).  A ``scale`` that is
+    not a finite number above zero raises :class:`ValueError`.
     """
+    scale = kwargs.get("scale", 1.0)
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("scale must be finite and > 0, got %r" % (scale,))
     try:
         builder = _BUILDERS[name]
     except KeyError:

@@ -64,6 +64,21 @@ def test_trace_cli_unknown_app_fails_cleanly(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_profile_cli_rejects_negative_top(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["profile", "histo", "--scale", "0.3", "--top=-1"])
+    assert exit_info.value.code == 2
+    assert "--top" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trace", "profile"])
+@pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+def test_obs_cli_rejects_a_scale_that_is_not_positive(command, scale, capsys):
+    code = main([command, "lps", "--scale=" + scale])
+    assert code == 2
+    assert "scale" in capsys.readouterr().err
+
+
 def test_traced_run_without_chrome_sink():
     result = traced_run("lps", mechanism="none", scale=0.3, chrome=False)
     assert result.chrome is None

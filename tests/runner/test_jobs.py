@@ -88,6 +88,10 @@ class TestExecuteJob:
         with pytest.raises(InvalidConfig):
             execute_job(JobSpec.make("lps", "no-such-mech", scale=SCALE))
 
+    def test_nonpositive_scale_is_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="scale"):
+            execute_job(JobSpec.make("lps", "none", scale=0))
+
     def test_bad_config_is_invalid_config(self):
         spec = JobSpec.make("lps", "none", config={"num_sms": 0}, scale=SCALE)
         with pytest.raises(InvalidConfig):

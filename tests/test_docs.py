@@ -33,13 +33,25 @@ def test_docs_cover_the_cli_surface():
     assert missing_cli_docs(REPO_ROOT) == []
 
 
-def test_observability_docs_show_every_hot_bucket():
+def test_module_index_names_only_existing_modules(tmp_path):
     sys.path.insert(0, str(REPO_ROOT / "tools"))
     try:
-        from check_docs import missing_hot_bucket_docs
+        from check_docs import stale_module_entries
     finally:
         sys.path.pop(0)
-    assert missing_hot_bucket_docs(REPO_ROOT) == []
+    assert stale_module_entries(REPO_ROOT) == []
+
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "ARCHITECTURE.md").write_text(
+        "## Module index\n\n"
+        "`repro/` — `cli.py` (front end).\n\n"
+        "`repro/obs/` — `events.py`, `gone.py` (deleted).\n\n"
+        "## Later\n\n`repro/obs/` — `elsewhere.py` is not the index.\n"
+    )
+    (tmp_path / "src" / "repro" / "obs").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "cli.py").write_text("")
+    (tmp_path / "src" / "repro" / "obs" / "events.py").write_text("")
+    assert stale_module_entries(tmp_path) == ["repro/obs/gone.py"]
 
 
 def test_robustness_docs_cover_every_fault_site_and_invariant():

@@ -30,6 +30,11 @@ class TestBuildKernel:
         with pytest.raises(ValueError):
             build_kernel("doom")
 
+    @pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf")])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            build_kernel("lps", scale=scale)
+
     @pytest.mark.parametrize("app", BENCHMARKS)
     def test_builds_and_has_loads(self, app):
         kernel = build_kernel(app, scale=0.25, seed=3)

@@ -2,17 +2,15 @@
 """Docs drift checks.
 
 * Every module under src/repro must be mentioned in docs/ARCHITECTURE.md
-  (the "Module index" section exists for this).
+  (the "Module index" section exists for this), and every ``.py`` file
+  that section names in a paragraph opening with ``repro/<pkg>/`` must exist
+  under src/repro/<pkg>/ — a deleted module must not leave its entry.
 * Every ``snake-repro`` subcommand and its robustness-surface flags must
   be mentioned somewhere under docs/ — a new CLI entry point without an
   operating manual fails the gate.
 * Every simlint rule id (``repro.lint.registry.catalog()``) must be
   documented in docs/STATIC_ANALYSIS.md with a bad/good example — a rule
   that fails builds without an explanation is not enforceable.
-* Every ``profile --hot`` bucket (``repro.obs.hotprof.HOT_BUCKETS``)
-  must appear in docs/OBSERVABILITY.md's example table as a row that
-  starts with the bucket name and ends with its description — a bucket
-  whose wrapped methods change must not leave a stale example behind.
 
 Run from the repository root::
 
@@ -25,6 +23,7 @@ of tier-1 so drift is caught locally too.
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from pathlib import Path
 # explain.  Extend this table when the CLI grows a new surface.
 CLI_SURFACE = {
     "trace": (),
-    "profile": ("--hot",),
+    "profile": (),
     "sweep": ("--checkpoint", "--resume", "--retry-failed", "--sanitize",
               "--lease", "--drain-timeout"),
     "chaos": ("--sites", "--delay-cycles", "--runner", "--runner-jobs"),
@@ -53,6 +52,21 @@ def missing_modules(repo_root: Path) -> "list[str]":
         if path.name not in doc:
             missing.append(str(path.relative_to(repo_root)))
     return missing
+
+
+def stale_module_entries(repo_root: Path) -> "list[str]":
+    doc = (repo_root / "docs" / "ARCHITECTURE.md").read_text()
+    index = doc.split("## Module index", 1)[-1].split("\n## ", 1)[0]
+    stale = []
+    for paragraph in index.split("\n\n"):
+        match = re.match(r"`(repro/(?:\w+/)*)`", paragraph)
+        if match is None:
+            continue
+        package = repo_root / "src" / match.group(1)
+        for name in re.findall(r"`(\w+\.py)`", paragraph):
+            if not (package / name).exists():
+                stale.append("%s%s" % (match.group(1), name))
+    return stale
 
 
 def missing_cli_docs(repo_root: Path) -> "list[str]":
@@ -106,25 +120,6 @@ def missing_rule_family_docs(repo_root: Path) -> "list[str]":
     return [family for family in families if family not in doc]
 
 
-def missing_hot_bucket_docs(repo_root: Path) -> "list[str]":
-    sys.path.insert(0, str(repo_root / "src"))
-    try:
-        from repro.obs.hotprof import HOT_BUCKETS
-    finally:
-        sys.path.pop(0)
-    doc_path = repo_root / "docs" / "OBSERVABILITY.md"
-    doc = doc_path.read_text() if doc_path.exists() else ""
-    rows = [line.rstrip() for line in doc.splitlines() if line.strip()]
-    return [
-        "%s (no row ending in '%s')" % (name, what)
-        for name, what in HOT_BUCKETS
-        if not any(
-            row.split()[0] == name and row.endswith("  " + what)
-            for row in rows
-        )
-    ]
-
-
 def main() -> int:
     repo_root = Path(__file__).resolve().parent.parent
     status = 0
@@ -136,6 +131,14 @@ def main() -> int:
         status = 1
     else:
         print("docs/ARCHITECTURE.md mentions every src/repro module")
+    stale = stale_module_entries(repo_root)
+    if stale:
+        print("docs/ARCHITECTURE.md's Module index names missing modules:")
+        for name in stale:
+            print("  src/" + name)
+        status = 1
+    else:
+        print("every module docs/ARCHITECTURE.md's Module index names exists")
     missing = missing_cli_docs(repo_root)
     if missing:
         print("CLI surface not mentioned anywhere under docs/:")
@@ -160,14 +163,6 @@ def main() -> int:
         status = 1
     else:
         print("docs/STATIC_ANALYSIS.md names every simlint rule family")
-    missing = missing_hot_bucket_docs(repo_root)
-    if missing:
-        print("profile --hot buckets not shown in docs/OBSERVABILITY.md:")
-        for name in missing:
-            print("  " + name)
-        status = 1
-    else:
-        print("docs/OBSERVABILITY.md shows every profile --hot bucket")
     return status
 
 
