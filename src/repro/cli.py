@@ -49,6 +49,7 @@ demand-visible outcome matches a fault-free run — see
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict
 
@@ -186,6 +187,13 @@ RAW_EXPERIMENTS = {
 }
 
 
+def _scale(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("scale must be finite and > 0")
+    return value
+
+
 def _row_count(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -208,7 +216,7 @@ def _obs_parser(command: str) -> argparse.ArgumentParser:
     parser.add_argument(
         "--mechanism", default="snake", help="prefetcher configuration"
     )
-    parser.add_argument("--scale", type=float, default=1.0, help="trace-size multiplier")
+    parser.add_argument("--scale", type=_scale, default=1.0, help="trace-size multiplier")
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument(
         "--bucket", type=int, default=None,
@@ -322,7 +330,7 @@ def _sweep_parser() -> argparse.ArgumentParser:
         "--retry-failed", action="store_true",
         help="with --resume, re-run jobs whose checkpoint record is a failure",
     )
-    parser.add_argument("--scale", type=float, default=1.0, help="trace-size multiplier")
+    parser.add_argument("--scale", type=_scale, default=1.0, help="trace-size multiplier")
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument(
         "--sanitize", action="store_true",
@@ -515,7 +523,7 @@ def _chaos_parser() -> argparse.ArgumentParser:
         "--workload-seed", type=int, default=1, help="workload trace seed"
     )
     parser.add_argument(
-        "--scale", type=float, default=0.25, help="trace-size multiplier"
+        "--scale", type=_scale, default=0.25, help="trace-size multiplier"
     )
     parser.add_argument(
         "--delay-cycles", type=int, default=400,
@@ -951,7 +959,7 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="loadgen/chaos: comma-separated workloads to replay",
     )
     parser.add_argument(
-        "--scale", type=float, default=0.1, help="workload trace-size multiplier"
+        "--scale", type=_scale, default=0.1, help="workload trace-size multiplier"
     )
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument(
@@ -1065,7 +1073,7 @@ def main(argv=None) -> int:
         help="experiment id (fig3..fig25, table3), 'list', 'all', "
         "'trace <app>', 'profile <app>' or 'lint'",
     )
-    parser.add_argument("--scale", type=float, default=1.0, help="trace-size multiplier")
+    parser.add_argument("--scale", type=_scale, default=1.0, help="trace-size multiplier")
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument("--csv", metavar="PATH", help="also export raw data as CSV")
     parser.add_argument("--json", metavar="PATH", help="also export raw data as JSON")

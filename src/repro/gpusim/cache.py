@@ -343,7 +343,8 @@ class MSHR:
                 del self._inflight[line_addr]
                 filled.append(entry)
         self.released += len(filled)
-        filled.sort(key=lambda e: e.seq)
+        if len(filled) > 1:
+            filled.sort(key=lambda e: e.seq)
         return filled
 
     def entries_inflight(self) -> List[MSHREntry]:

@@ -8,10 +8,10 @@ compares:
   (Snake-DT and the decoupling-less competitors).
 * ``decoupled`` — Snake's scheme (§3.2): prefetch and demand lines live in
   the same unified SRAM but are distinguished by a flag; a prefetch-space hit
-  "transfers" the line by flipping the flag; when a set fills up, 25 % of it
-  is freed by LRU from the prefetch or demand side depending on whether more
-  than 80 % of prefetched lines were transferred; while the prefetcher is
-  untrained, demand data may claim at most 50 % of the ways.
+  "transfers" the line by flipping the flag; a fill into a full set evicts
+  one LRU line, from the demand side while more than 80 % of prefetched lines
+  were transferred and from the prefetch side otherwise; while the prefetcher
+  is untrained or throttled, demand data may claim at most 50 % of the ways.
 * ``isolated`` — Isolated-Snake (§5.7): prefetched lines go to a dedicated
   side buffer and never contend with demand data.
 
@@ -177,22 +177,17 @@ class UnifiedL1Cache:
                         demand_joined=entry.demand_joined,
                     )
                 )
-            if entry.is_prefetch and entry.demand_joined:
+            joined = entry.is_prefetch and entry.demand_joined
+            if joined:
                 # The prediction was right but late: a demand merged while
                 # the line was in flight.  It lands as demand data and counts
                 # as a successful transfer for the 80 % rule.
                 self._prefetch_inserted += 1
                 self._prefetch_transferred += 1
-                self._install(
-                    entry.line_addr, entry.fill_time, False, sectors=entry.sectors
-                )
-            else:
-                self._install(
-                    entry.line_addr,
-                    entry.fill_time,
-                    entry.is_prefetch,
-                    sectors=entry.sectors,
-                )
+            self._install(
+                entry.line_addr, entry.fill_time,
+                entry.is_prefetch and not joined, sectors=entry.sectors,
+            )
         while self._miss_queue and self._miss_queue[0] <= now:
             self._miss_queue.popleft()
 
@@ -246,22 +241,6 @@ class UnifiedL1Cache:
             return 1.0
         return self._prefetch_transferred / self._prefetch_inserted
 
-    def _free_quarter(self, set_idx: int, now: int) -> None:
-        """Free 25 % of a full set by LRU — §3.2's response to the cache
-        running completely out of space.  Evicts demand-side lines if >80 %
-        of prefetched lines were transferred (prefetching is behaving),
-        otherwise old prefetched lines.  Routine fills use the single-victim
-        rule in :meth:`_decoupled_victim` instead."""
-        evict_demand_side = self._transfer_ratio() > 0.80
-        quota = max(1, math.ceil(self.config.l1.assoc * 0.25))
-        lines = self._store.lines_in_set(set_idx)  # LRU order
-        preferred = [
-            l for l in lines if l.is_prefetch != evict_demand_side
-        ]
-        others = [l for l in lines if l.is_prefetch == evict_demand_side]
-        for line in (preferred + others)[:quota]:
-            self._evict_line(line)
-
     def _evict_line(self, line: LineState) -> None:
         self._store.evict(line.addr)
         if line.is_prefetch and not line.used:
@@ -283,23 +262,25 @@ class UnifiedL1Cache:
         if self.mode is StorageMode.DECOUPLED:
             if store.set_is_full(set_idx):
                 victim = self._decoupled_victim(set_idx, now, is_prefetch)
-            elif not is_prefetch:
+            elif not is_prefetch and (
+                not self.prefetcher_trained or now < self.throttled_until
+            ):
                 # Training/throttle confinement applies even before the set
                 # fills: demand data may claim at most half the ways, the
                 # rest being reserved for prefetched data (§3.2).  The set
                 # is not full, so the tag store will not evict on insert —
                 # recycle the demand-side LRU line explicitly.
-                confined = (
-                    not self.prefetcher_trained
-                ) or now < self.throttled_until
-                if confined:
-                    demand_side = [
-                        l
-                        for l in store.lines_in_set(set_idx)
-                        if not l.is_prefetch
-                    ]
-                    if len(demand_side) >= self.config.l1.assoc // 2:
-                        self._evict_line(demand_side[0])
+                half = max(1, self.config.l1.assoc // 2)
+                oldest: Optional[LineState] = None
+                held = 0
+                for line in store._sets[set_idx].values():  # LRU order
+                    if not line.is_prefetch:
+                        if oldest is None:
+                            oldest = line
+                        held += 1
+                        if held >= half:
+                            self._evict_line(oldest)
+                            break
 
         evicted = store.insert(line_addr, now, is_prefetch=is_prefetch, victim=victim)
         if self._sector_bytes:
@@ -327,28 +308,43 @@ class UnifiedL1Cache:
         demand side gives up its LRU line; otherwise stale prefetched lines
         are recycled.  While the prefetcher is untrained or the throttle has
         confined the demand side, demand fills recycle their own LRU once
-        they hold half the ways."""
-        lines = self._store.lines_in_set(set_idx)  # LRU order
-        prefetch_side = [l for l in lines if l.is_prefetch]
-        demand_side = [l for l in lines if not l.is_prefetch]
-
-        if not inserting_prefetch:
-            confined = (not self.prefetcher_trained) or now < self.throttled_until
-            half = self.config.l1.assoc // 2
-            if confined and len(demand_side) >= half:
-                return demand_side[0]
+        they hold half the ways.  One LRU-order walk finds each side's LRU
+        line and counts demand lines up to the bound it needs."""
+        confined = not inserting_prefetch and (
+            not self.prefetcher_trained or now < self.throttled_until
+        )
+        need = max(1, self.config.l1.assoc // 2) if confined else 1
+        prefetch_lru: Optional[LineState] = None
+        demand_lru: Optional[LineState] = None
+        held = 0
+        for line in self._store._sets[set_idx].values():  # LRU order
+            if line.is_prefetch:
+                if prefetch_lru is None:
+                    prefetch_lru = line
+                    if held >= need:
+                        break
+            else:
+                if demand_lru is None:
+                    demand_lru = line
+                held += 1
+                if held >= need and prefetch_lru is not None:
+                    break
+        if confined and held >= need:
+            assert demand_lru is not None
+            return demand_lru
 
         # Protect prefetched data while it is behaving (80 % rule) or still
         # within its consumption window: the transfer ratio lags fills by a
         # full memory round trip, so a grace age keeps the policy from
         # recycling lines that simply have not had time to be used yet.
         grace = self.config.decouple_grace
-        fresh = bool(prefetch_side) and now - prefetch_side[0].inserted_at < grace
+        fresh = prefetch_lru is not None and now - prefetch_lru.inserted_at < grace
         if self._transfer_ratio() > 0.80 or fresh:
-            victim_pool = demand_side or prefetch_side
+            victim = demand_lru if demand_lru is not None else prefetch_lru
         else:
-            victim_pool = prefetch_side or demand_side
-        return victim_pool[0]
+            victim = prefetch_lru if prefetch_lru is not None else demand_lru
+        assert victim is not None  # the set is full
+        return victim
 
     def _decay_transfer_counters(self) -> None:
         """Halve the transfer-ratio counters periodically so the 80 % rule
@@ -500,77 +496,6 @@ class UnifiedL1Cache:
     # ------------------------------------------------------------------
     # Prefetch path
 
-    def prefetch(self, line_addr: int, now: int) -> bool:
-        """Issue a hardware prefetch for one line.  Returns True when a
-        request actually left for L2."""
-        self._commit_fills(now)
-        if self._faults is not None and self._faults.should("l1.evict_storm"):
-            evicted = self._evict_prefetch_storm()
-            self._faults.record(
-                "l1.evict_storm", now, self._sm_id,
-                "evicted %d prefetched lines" % evicted,
-            )
-        duplicate: Optional[Union[LineState, MSHREntry]] = (
-            self._store.lookup(line_addr)
-        )
-        if duplicate is None and self._side_buffer is not None:
-            duplicate = self._side_buffer.lookup(line_addr)
-        if duplicate is None:
-            duplicate = self._mshr.lookup(line_addr)
-        if duplicate is not None:
-            # Already cached or in flight: the prediction was correct —
-            # remember it so the demand access counts toward coverage (the
-            # paper's metric counts correctly predicted addresses, §4).
-            duplicate.predicted = True
-            self.stats.prefetch.dropped_duplicate += 1
-            if self._obs.enabled:
-                self._obs.emit(
-                    PrefetchDropEvent(
-                        cycle=now, sm_id=self._sm_id, line_addr=line_addr,
-                        reason="duplicate",
-                    )
-                )
-            return False
-        # _commit_fills(now) above already retired every miss-queue slot
-        # accepted by ``now``, so the queue length is current here.
-        refused = (
-            self._mshr.occupancy >= self._pf_mshr_cap
-            or len(self._miss_queue) >= self._pf_queue_cap
-        )
-        reason = "headroom"
-        if (
-            not refused
-            and self._faults is not None
-            and self._faults.fires(
-                "l1.mshr_refuse", now, self._sm_id, "prefetch %#x" % line_addr
-            )
-        ):
-            # Chaos l1.mshr_refuse on the best-effort path: the prefetch is
-            # simply dropped before issue, so it never reaches L2 and the
-            # cross-layer request conservation stays exact.
-            refused = True
-            reason = "fault"
-        if refused:
-            self.stats.prefetch.dropped_throttled += 1
-            if self._obs.enabled:
-                self._obs.emit(
-                    PrefetchDropEvent(
-                        cycle=now, sm_id=self._sm_id, line_addr=line_addr,
-                        reason=reason,
-                    )
-                )
-            return False
-        fill_time = self._send_to_l2(
-            line_addr, now, is_write=False, is_prefetch=True
-        )
-        entry = self._mshr.allocate(line_addr, fill_time, is_prefetch=True)
-        if self._faults is not None and self._faults.fires(
-            "icnt.drop_fill", now, self._sm_id, "prefetch %#x" % line_addr
-        ):
-            entry.dropped = True
-        self.stats.prefetch.issued += 1
-        return True
-
     def prefetch_trigger(
         self,
         requests: Sequence[Tuple[int, int]],
@@ -582,7 +507,8 @@ class UnifiedL1Cache:
         throttle: "Throttle",
         utilization: Optional[float] = None,
     ) -> None:
-        """Issue a whole trigger's prefetch requests in one call.
+        """Issue a whole trigger's prefetch requests: the one prefetch
+        admission path.
 
         ``requests`` are the ``(base_addr, depth)`` pairs the load at
         ``pc`` (of ``stride`` and ``size_bytes``) triggered; each expands
@@ -591,37 +517,46 @@ class UnifiedL1Cache:
         ``utilization``, a NoC reading taken at ``now`` with no ``send``
         since, or reads both ports when it is None.
 
-        Per request the throttle votes in sequence at ``now``, but the
-        vote is memoized: ``Throttle.allow`` is a deterministic,
-        repeat-idempotent function of (utilization, L1 occupancy,
-        prefetch backlog) at a fixed cycle, and within one trigger those
-        inputs only move when a request actually sends bytes or a fill
-        commits — so re-votes with unchanged inputs are provable no-ops,
-        and once the vote is False nothing can flip it back this trigger:
-        every remaining request drops, exactly what one ``allow`` call
-        per request concludes.  The test suite pins counters, events and
-        MSHR/NoC state to that naive loop.
+        The throttle votes per request at ``now``, memoized: ``allow`` is
+        a deterministic, repeat-idempotent function of (utilization, L1
+        occupancy, prefetch backlog) at a fixed cycle, and those inputs
+        only move when a request sends bytes or a fill commits — so once
+        the vote is False every remaining request drops, as one ``allow``
+        call per request would conclude.  Each line of a passed request
+        is then dropped as a duplicate (resident in the tag store or side
+        buffer, or in flight), refused for the demand headroom (the last
+        quarter of the MSHR, the last miss-queue slot), or sent.  Fills
+        commit once, at ``issue_at``, when the first line is reached:
+        every send fills and drains after ``issue_at``, so a later commit
+        would find nothing due.  The test suite pins counters, events and
+        MSHR/NoC state to the naive per-request, per-line loop.
 
-        With the event bus enabled, events come out in per-request,
-        per-line order: a refused vote emits one ``ThrottleEvent`` for its
-        request and one for each remaining request (each would be refused
-        again with the same inputs); otherwise each line emits its
-        ``PrefetchDropEvent`` or, once sent, a ``PrefetchIssueEvent``.
-        Every line of a request that passed the vote goes through
-        :meth:`prefetch`, the one per-line admission path, so fault-armed
-        and plain runs execute the same code.
+        Events come out in per-request, per-line order: a refused vote
+        emits one ``ThrottleEvent`` for each remaining request; otherwise
+        each line emits its ``PrefetchDropEvent`` or, once sent, a
+        ``PrefetchIssueEvent``.  Fault sites keep their per-line cadence.
         """
         stats_pf = self.stats.prefetch
         pf_store = self._pf_store
         req_util = self._icnt_req.measured_utilization
         resp_util = self._icnt_resp.measured_utilization
         allow = throttle.allow
-        prefetch = self.prefetch
         obs = self._obs
         observing = obs.enabled
+        faults = self._faults
         sm_id = self._sm_id
         warp_size = self.config.warp_size
         line_bytes = self.config.l1.line_bytes
+        # Most candidates are duplicates: probe the lookup maps directly.
+        store_get = self._store._flat.get
+        side = self._side_buffer
+        side_get = side._flat.get if side is not None else None
+        inflight = self._mshr._inflight
+        inflight_get = inflight.get
+        miss_queue = self._miss_queue
+        mshr_cap = self._pf_mshr_cap
+        queue_cap = self._pf_queue_cap
+        committed = False
         sent_since_vote = utilization is None
         measured = 0.0 if utilization is None else utilization
         need_vote = True
@@ -653,26 +588,77 @@ class UnifiedL1Cache:
                 last_unused = pf_store._prefetch_unused
                 need_vote = False
                 sent_since_vote = False
-            sent_any = False
             rem = base_addr % line_bytes
             shift = base_addr - rem
-            for offset in line_offsets(rem, stride, size_bytes, warp_size, line_bytes):
+            offsets = line_offsets(rem, stride, size_bytes, warp_size, line_bytes)
+            if not committed and offsets:
+                self._commit_fills(issue_at)
+                committed = True
+            sent_any = False
+            for offset in offsets:
                 line_addr = shift + offset
-                if prefetch(line_addr, issue_at):
+                if faults is not None and faults.should("l1.evict_storm"):
+                    self._evict_prefetch_storm(issue_at)
+                duplicate: Optional[Union[LineState, MSHREntry]] = (
+                    store_get(line_addr)
+                )
+                if duplicate is None and side_get is not None:
+                    duplicate = side_get(line_addr)
+                if duplicate is None:
+                    duplicate = inflight_get(line_addr)
+                if duplicate is not None:
+                    # Already cached or in flight: the prediction was
+                    # correct — remember it so the demand access counts
+                    # toward coverage (the paper's metric counts correctly
+                    # predicted addresses, §4).
+                    duplicate.predicted = True
+                    stats_pf.dropped_duplicate += 1
+                    if observing:
+                        obs.emit(PrefetchDropEvent(
+                            cycle=issue_at, sm_id=sm_id, line_addr=line_addr,
+                            reason="duplicate",
+                        ))
+                    continue
+                if len(inflight) >= mshr_cap or len(miss_queue) >= queue_cap:
+                    reason = "headroom"
+                elif faults is not None and faults.fires(
+                    "l1.mshr_refuse", issue_at, sm_id, "prefetch %#x" % line_addr
+                ):
+                    # Chaos l1.mshr_refuse on the best-effort path: the
+                    # prefetch is dropped before issue, so it never reaches
+                    # L2 and the cross-layer request conservation stays exact.
+                    reason = "fault"
+                else:
+                    fill_time = self._send_to_l2(
+                        line_addr, issue_at, is_write=False, is_prefetch=True
+                    )
+                    entry = self._mshr.allocate(line_addr, fill_time, is_prefetch=True)
+                    if faults is not None and faults.fires(
+                        "icnt.drop_fill", issue_at, sm_id, "prefetch %#x" % line_addr
+                    ):
+                        entry.dropped = True
+                    stats_pf.issued += 1
                     sent_any = True
                     if observing:
                         obs.emit(PrefetchIssueEvent(
                             cycle=issue_at, sm_id=sm_id, pc=pc,
                             line_addr=line_addr, depth=depth,
                         ))
+                    continue
+                stats_pf.dropped_throttled += 1
+                if observing:
+                    obs.emit(PrefetchDropEvent(
+                        cycle=issue_at, sm_id=sm_id, line_addr=line_addr,
+                        reason=reason,
+                    ))
             if sent_any:
                 need_vote = True
                 sent_since_vote = True
 
-    def _evict_prefetch_storm(self) -> int:
+    def _evict_prefetch_storm(self, now: int) -> None:
         """Chaos l1.evict_storm: flush every still-prefetch-flagged line
         from one random set (plus the matching side-buffer set in isolated
-        mode).  Returns the number of lines evicted."""
+        mode), and record the fault."""
         assert self._faults is not None
         evicted = 0
         set_idx = self._faults.rand_index(self._store.num_sets)
@@ -688,7 +674,10 @@ class UnifiedL1Cache:
                     if not line.used:
                         self.stats.prefetch.unused_evicted += 1
                     evicted += 1
-        return evicted
+        self._faults.record(
+            "l1.evict_storm", now, self._sm_id,
+            "evicted %d prefetched lines" % evicted,
+        )
 
     def magic_prefetch(self, line_addr: int) -> None:
         """Ideal-prefetcher fill: infinite storage, zero latency (§1)."""

@@ -29,6 +29,18 @@ class TestArgs:
         out = capsys.readouterr().out
         assert "lps" in out and "mean" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["fig9", "--scale", "0"], ["fig16", "--scale", "nan"],
+    ])
+    def test_experiment_rejects_a_scale_that_is_not_positive(self, argv,
+                                                              capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "scale must be finite and > 0" in captured.err
+        assert captured.out == ""
+
 
 class TestSweepCommand:
     ARGS = [

@@ -14,6 +14,8 @@ from repro.gpusim.l2 import L2Cache
 from repro.gpusim.stats import SimStats
 from repro.gpusim.unified_cache import L1Outcome, StorageMode, UnifiedL1Cache
 
+from .l1_issue import prefetch_line
+
 
 class TestInterconnectPriority:
     def test_priority_unaffected_by_best_effort_backlog(self):
@@ -164,7 +166,7 @@ class TestL1Promotion:
         l1, stats = self._l1()
         # saturate the best-effort response channel so the prefetch is late
         l1._icnt_resp.send(0, 50_000)
-        assert l1.prefetch(0, now=0)
+        assert prefetch_line(l1, 0, now=0)
         outcome, ready = l1.demand_load(0, now=10)
         assert outcome is L1Outcome.RESERVED
         assert ready - 10 <= l1._unloaded_round_trip() + 1

@@ -9,6 +9,8 @@ from repro.gpusim.l2 import L2Cache
 from repro.gpusim.stats import SimStats
 from repro.gpusim.unified_cache import L1Outcome, StorageMode, UnifiedL1Cache
 
+from .l1_issue import prefetch_line
+
 
 def make_l1(mode=StorageMode.COUPLED, mshr=8, merge=2, queue=4, assoc=4,
             size=2048):
@@ -99,7 +101,7 @@ class TestDemandPath:
 class TestPrefetchPath:
     def test_prefetch_fills_and_demand_hits_timely(self):
         l1, stats = make_l1()
-        assert l1.prefetch(0, now=0)
+        assert prefetch_line(l1, 0, now=0)
         outcome, _ = l1.demand_load(0, now=2000)
         assert outcome is L1Outcome.HIT
         assert stats.prefetch.demand_covered == 1
@@ -107,7 +109,7 @@ class TestPrefetchPath:
 
     def test_late_prefetch_covered_not_timely(self):
         l1, stats = make_l1()
-        l1.prefetch(0, now=0)
+        prefetch_line(l1, 0, now=0)
         outcome, _ = l1.demand_load(0, now=1)  # still in flight
         assert outcome is L1Outcome.RESERVED
         assert stats.prefetch.demand_covered == 1
@@ -116,7 +118,7 @@ class TestPrefetchPath:
     def test_duplicate_prefetch_dropped_and_marks_prediction(self):
         l1, stats = make_l1()
         t = fill_line(l1, 0)
-        assert not l1.prefetch(0, now=t)
+        assert not prefetch_line(l1, 0, now=t)
         assert stats.prefetch.dropped_duplicate == 1
         outcome, _ = l1.demand_load(0, t + 1)
         assert outcome is L1Outcome.HIT
@@ -125,7 +127,7 @@ class TestPrefetchPath:
     def test_prediction_credited_once(self):
         l1, stats = make_l1()
         t = fill_line(l1, 0)
-        l1.prefetch(0, now=t)
+        prefetch_line(l1, 0, now=t)
         l1.demand_load(0, t + 1)
         l1.demand_load(0, t + 2)
         assert stats.prefetch.demand_covered == 1
@@ -135,7 +137,7 @@ class TestPrefetchPath:
         for i in range(3):
             l1.demand_load(i * 128, 0)
         # 3 of 4 entries used; the cap is 3 -> prefetch must yield
-        assert not l1.prefetch(1024, now=0)
+        assert not prefetch_line(l1, 1024, now=0)
         assert stats.prefetch.dropped_throttled == 1
 
     def test_magic_prefetch_is_instant_and_free(self):
@@ -150,7 +152,7 @@ class TestPrefetchPath:
 class TestDecoupled:
     def test_prefetch_flag_flips_on_use(self):
         l1, _ = make_l1(mode=StorageMode.DECOUPLED)
-        l1.prefetch(0, now=0)
+        prefetch_line(l1, 0, now=0)
         l1.demand_load(0, now=2000)
         state = l1.store.lookup(0)
         assert state is not None
@@ -184,7 +186,7 @@ class TestDecoupled:
             addr += 128
         now = 0
         for line in same_set:
-            l1.prefetch(line, now)
+            prefetch_line(l1, line, now)
             now += 4000  # let each fill land; grace expires between fills
         l1.free_space_fraction(now + 100_000)
         assert stats.prefetch.unused_evicted > 0
@@ -193,14 +195,14 @@ class TestDecoupled:
 class TestIsolated:
     def test_prefetch_goes_to_side_buffer(self):
         l1, _ = make_l1(mode=StorageMode.ISOLATED)
-        l1.prefetch(0, now=0)
+        prefetch_line(l1, 0, now=0)
         l1.free_space_fraction(10_000)  # commit fills
         assert l1.side_buffer.lookup(0) is not None
         assert l1.store.lookup(0) is None
 
     def test_demand_hits_side_buffer(self):
         l1, stats = make_l1(mode=StorageMode.ISOLATED)
-        l1.prefetch(0, now=0)
+        prefetch_line(l1, 0, now=0)
         outcome, _ = l1.demand_load(0, now=10_000)
         assert outcome is L1Outcome.HIT
         assert stats.prefetch.demand_timely == 1
@@ -208,7 +210,7 @@ class TestIsolated:
     def test_free_space_measures_side_buffer(self):
         l1, _ = make_l1(mode=StorageMode.ISOLATED)
         assert l1.free_space_fraction(0) == 1.0
-        l1.prefetch(0, now=0)
+        prefetch_line(l1, 0, now=0)
         assert l1.free_space_fraction(10_000) < 1.0
 
 
@@ -222,7 +224,7 @@ class TestIntrospection:
     def test_unused_prefetch_fraction(self):
         l1, _ = make_l1()
         assert l1.unused_prefetch_fraction(0) == 0.0
-        l1.prefetch(0, now=0)
+        prefetch_line(l1, 0, now=0)
         assert l1.unused_prefetch_fraction(10_000) > 0.0
 
     def test_line_of(self):

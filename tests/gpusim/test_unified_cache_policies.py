@@ -7,6 +7,8 @@ from repro.gpusim.l2 import L2Cache
 from repro.gpusim.stats import SimStats
 from repro.gpusim.unified_cache import StorageMode, UnifiedL1Cache
 
+from .l1_issue import prefetch_line
+
 
 def make_l1(mode=StorageMode.DECOUPLED, assoc=4, size=512, grace=100):
     config = GPUConfig.scaled().with_(
@@ -65,7 +67,7 @@ class TestGraceWindow:
         # one old demand line plus three young prefetched lines fill the set
         l1._install(lines[0], now=0, is_prefetch=False)
         for line in lines[1:4]:
-            l1.prefetch(line, 10)
+            prefetch_line(l1, line, 10)
         l1.free_space_fraction(50_000)  # commit fills
         # force a low transfer ratio (normally the eviction trigger)
         l1._prefetch_inserted = 100
@@ -84,7 +86,7 @@ class TestGraceWindow:
         l1, stats = make_l1(grace=10)
         lines = same_set_lines(l1, 6)
         for line in lines[:4]:
-            l1.prefetch(line, 0)
+            prefetch_line(l1, line, 0)
         l1.free_space_fraction(50_000)
         l1._prefetch_inserted = 100
         l1._prefetch_transferred = 0
@@ -124,24 +126,3 @@ class TestEightyPercentRule:
         set_lines = l1.store.lines_in_set(l1.store.set_index(lines[0]))
         assert sum(1 for l in set_lines if not l.is_prefetch) == 2  # intact
 
-
-class TestBulkFree:
-    def test_free_quarter_respects_rule(self):
-        l1, _ = make_l1(assoc=8, size=1024, grace=0)
-        lines = same_set_lines(l1, 8)
-        for line in lines[:4]:
-            l1._install(line, 0, is_prefetch=False)
-        for line in lines[4:]:
-            l1._install(line, 0, is_prefetch=True)
-        l1._prefetch_inserted = 100
-        l1._prefetch_transferred = 0
-        set_idx = l1.store.set_index(lines[0])
-        before = len(l1.store.lines_in_set(set_idx))
-        l1._free_quarter(set_idx, now=10)
-        after = l1.store.lines_in_set(set_idx)
-        assert before - len(after) == 2  # 25% of 8 ways
-        assert all(not l.is_prefetch for l in after) or any(
-            l.is_prefetch for l in after
-        )
-        # misbehaving: evicted lines were prefetch-side
-        assert sum(1 for l in after if l.is_prefetch) == 2

@@ -1,13 +1,13 @@
 """The L1 issue lane emits the naive reference's event stream.
 
-``UnifiedL1Cache.prefetch_trigger`` emits its own throttle and issue
-events while it memoizes the throttle vote; each line's drop event comes
-from ``UnifiedL1Cache.prefetch``, which it calls once per line of every
-request that passed the vote.  With the bus enabled, the full ordered event
-list of a traced run must equal the one produced with the per-request,
-per-line reference lane (``tests/gpusim/reference_issue.py``) installed —
-with and without chaos faults, and on machines that make the throttle
-refuse for bandwidth and for space.
+``UnifiedL1Cache.prefetch_trigger`` emits its own throttle, drop and
+issue events while it memoizes the throttle vote and admits each line of
+every request that passed it.  With the bus enabled, the full ordered
+event list of a traced run must equal the one produced with the
+per-request, per-line reference lane (``tests/gpusim/reference_issue.py``)
+installed — with and without chaos faults, on machines that make the
+throttle refuse for bandwidth and for space, and in isolated storage mode,
+where duplicates are also found in the side buffer.
 """
 
 import dataclasses
@@ -59,7 +59,7 @@ def _traced(app, mechanism, machine, faults):
 @pytest.mark.parametrize("machine,refusal", [
     ("paper", None), ("tight-noc", "bandwidth"), ("small-l1", "space"),
 ])
-@pytest.mark.parametrize("mechanism", ["snake", "intra"])
+@pytest.mark.parametrize("mechanism", ["snake", "isolated-snake", "intra"])
 def test_event_stream_matches_reference_issue(mechanism, machine, refusal,
                                               faults):
     events, stats = _traced("lps", mechanism, machine, faults)

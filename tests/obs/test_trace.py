@@ -74,9 +74,10 @@ def test_profile_cli_rejects_negative_top(capsys):
 @pytest.mark.parametrize("command", ["trace", "profile"])
 @pytest.mark.parametrize("scale", ["0", "-1", "nan"])
 def test_obs_cli_rejects_a_scale_that_is_not_positive(command, scale, capsys):
-    code = main([command, "lps", "--scale=" + scale])
-    assert code == 2
-    assert "scale" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "lps", "--scale=" + scale])
+    assert exit_info.value.code == 2
+    assert "scale must be finite and > 0" in capsys.readouterr().err
 
 
 def test_traced_run_without_chrome_sink():
