@@ -18,7 +18,7 @@ only the chains; decoupling/throttling are composed at the GPU level (see
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.events import ChainWalkEvent
 from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
@@ -107,16 +107,32 @@ class SnakePrefetcher(Prefetcher):
         self.head, self.tail = self._app_tables[app_id]
 
     # ------------------------------------------------------------------
-    # Detection (§3.1)
+    # One pass per observed load: training (§3.1), then generation (§3.2)
 
-    def _detect(
-        self, warp_id: int, pc: int, base_addr: int, app_id: int
-    ) -> None:
-        """Train the tables on one access: the Head table's transition
-        from the warp's previous load feeds the Tail's chain links, then
-        the intra-warp and inter-warp stride detectors run."""
+    def observe_raw(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0,
+    ) -> List[Tuple[int, int]]:
+        """Digest one access given as plain ints; return its deduplicated
+        ``(base_addr, depth)`` prefetch pairs.
+
+        Training: the Head table's transition from the warp's previous
+        load feeds the Tail's chain links, then the intra-warp and
+        inter-warp stride detectors run; generation reads the same
+        ``(app, pc)`` consensus tracker.  The SM and the serve core call
+        it with the load's fields, so no :class:`AccessEvent` or
+        :class:`PrefetchRequest` is built.  ``now`` only stamps telemetry.
+        """
+        if self.per_app:
+            self._select_app(app_id)
         tail = self.tail
         transition = self.head.update(warp_id, pc, base_addr)
+        if divergent:
+            # §3.4: warps whose threads do not share a uniform stride are
+            # excluded from prefetching — training on them would only churn
+            # the tables.  The Head entry is still advanced so the next
+            # uniform load does not record a bogus transition.
+            return []
         if transition is not None and transition[1] != 0:
             tail.record(warp_id, transition[0], pc, transition[1])
 
@@ -127,19 +143,20 @@ class SnakePrefetcher(Prefetcher):
                 tail.record_intra(warp_id, pc, base_addr - last)
             self._intra_last[key] = base_addr
 
+        tracker = None
         if self.use_inter_warp:
             # Not setdefault: it would build its default on every call.
             key = (app_id, pc)
             slots = self._iw_last.get(key)
             if slots is None:
                 slots = self._iw_last[key] = []
+            tracker = self._iw_consensus.get(key)
             for other_warp, addr in slots:
                 if other_warp == warp_id:
                     continue
                 gap = warp_id - other_warp
                 delta = base_addr - addr
                 if delta % gap == 0:
-                    tracker = self._iw_consensus.get(key)
                     if tracker is None:
                         tracker = self._iw_consensus[key] = ConsensusTracker(
                             threshold=self.train_threshold
@@ -150,34 +167,35 @@ class SnakePrefetcher(Prefetcher):
             slots.append((warp_id, base_addr))
             if len(slots) > 2:
                 del slots[0]
-
-    # ------------------------------------------------------------------
-    # Prefetch generation (§3.2)
+        return self._generate_raw(warp_id, pc, base_addr, tracker, now)
 
     def _generate_raw(
-        self, warp_id: int, pc: int, base_addr: int, app_id: int, now: int
+        self, warp_id: int, pc: int, base_addr: int,
+        tracker: Optional[ConsensusTracker], now: int,
     ) -> List[Tuple[int, int]]:
         """Deduplicated ``(base_addr, depth)`` pairs for one trained-on
         access: chain links first (§3.4 — inter-thread strides are the
-        most accurate), then intra-warp, then inter-warp strides.  Every
-        trained link out of ``pc`` issues a depth-1 request, and the walk
+        most accurate), then intra-warp, then inter-warp strides from
+        ``tracker``, the access's ``(app, pc)`` consensus tracker (None
+        when it has none or inter-warp strides are off).  Every trained
+        link out of ``pc`` issues a depth-1 request, and the walk
         continues transitively along the best-confirmed link only
         (:meth:`TailTable.walk_raw`); targets below 0 are dropped.
         ``tests/core/reference_snake.py`` keeps the one-``find``-per-hop
         walk this must match, ``lookups`` accounting and telemetry
         included."""
+        tail = self.tail
         pairs: List[Tuple[int, int]]
         if self.use_chains:
-            pairs = self.tail.walk_raw(
-                pc, base_addr, warp_id,
-                min(self.max_chain_depth, self._depth_limit),
-            )
+            depth_limit = self._depth_limit
+            if depth_limit > self.max_chain_depth:
+                depth_limit = self.max_chain_depth
+            pairs = tail.walk_raw(pc, base_addr, warp_id, depth_limit)
         else:
             pairs = []
         if self.use_intra:
             # One CAM search, bucket scanned in place (find()'s accounting,
             # without its list copy).
-            tail = self.tail
             tail.lookups += 1
             not_trained = TrainState.NOT_TRAINED
             for entry in tail._pc_index.get(pc, ()):
@@ -188,59 +206,34 @@ class SnakePrefetcher(Prefetcher):
                         if target >= 0:
                             pairs.append((target, k))
                     break
-        if self.use_inter_warp:
-            tracker = self._iw_consensus.get((app_id, pc))
-            if tracker is not None and tracker.trained_stride is not None:
-                stride = tracker.trained_stride
-                for k in range(1, self.inter_warp_degree + 1):
-                    target = base_addr + k * stride
-                    if target >= 0:
-                        pairs.append((target, k))
+        if tracker is not None and tracker.trained_stride is not None:
+            stride = tracker.trained_stride
+            for k in range(1, self.inter_warp_degree + 1):
+                target = base_addr + k * stride
+                if target >= 0:
+                    pairs.append((target, k))
 
         # Inter-thread first (higher accuracy, §3.4), then de-duplicate:
-        # the first depth seen for an address wins.
-        first: Dict[int, int] = {}
-        for addr, depth in pairs:
-            if addr not in first:
-                first[addr] = depth
-        unique = list(first.items())
-        if unique and self.obs.enabled:
+        # the first depth seen for an address wins.  A list with no
+        # repeated address is already its own deduplication.
+        if len(pairs) > 1 and len(dict(pairs)) < len(pairs):
+            first: Dict[int, int] = {}
+            for addr, depth in pairs:
+                if addr not in first:
+                    first[addr] = depth
+            pairs = list(first.items())
+        if pairs and self.obs.enabled:
             self.obs.emit(
                 ChainWalkEvent(
                     cycle=now,
                     sm_id=self.obs_sm_id,
                     warp_id=warp_id,
                     pc=pc,
-                    depth=max(d for _, d in unique),
-                    requests=len(unique),
+                    depth=max(d for _, d in pairs),
+                    requests=len(pairs),
                 )
             )
-        return unique
-
-    # ------------------------------------------------------------------
-
-    def observe_raw(
-        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
-        divergent: bool = False, now: int = 0,
-    ) -> List[Tuple[int, int]]:
-        """Digest one access given as plain ints; return its deduplicated
-        ``(base_addr, depth)`` prefetch pairs.
-
-        The SM and the serve core call it with the load's fields, so no
-        :class:`AccessEvent` or :class:`PrefetchRequest` is built.
-        ``now`` only stamps telemetry.
-        """
-        if self.per_app:
-            self._select_app(app_id)
-        if divergent:
-            # §3.4: warps whose threads do not share a uniform stride are
-            # excluded from prefetching — training on them would only churn
-            # the tables.  The Head entry is still advanced so the next
-            # uniform load does not record a bogus transition.
-            self.head.update(warp_id, pc, base_addr)
-            return []
-        self._detect(warp_id, pc, base_addr, app_id)
-        return self._generate_raw(warp_id, pc, base_addr, app_id, now)
+        return pairs
 
     def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
         """The generic :class:`Prefetcher` adapter: :meth:`observe_raw`
@@ -354,6 +347,10 @@ class SnakePrefetcher(Prefetcher):
             per_app=bool(config["per_app"]),
         )
         prefetcher._depth_limit = int(data["depth_limit"])
+        if prefetcher._depth_limit < 1:
+            raise ValueError(
+                "depth_limit must be >= 1, got %d" % prefetcher._depth_limit
+            )
         prefetcher._app_tables = {
             int(app_id): (HeadTable.restore(head), TailTable.restore(tail))
             for app_id, head, tail in data["app_tables"]

@@ -78,19 +78,21 @@ def peek_predictions(learner: SnakePrefetcher, warp: int, pc: int,
                      addr: int, app: int = 0, now: int = 0) -> List[int]:
     """Read-only prediction from a Snake learner.
 
-    Runs :meth:`SnakePrefetcher.observe_raw`'s generation half
+    Runs :meth:`SnakePrefetcher.observe_raw`'s generation body
     (``_generate_raw``: chains, intra-warp, inter-warp, chain-first dedup)
-    without the detection half.  The Tail CAM's lookup counter is
-    restored afterwards because it is serialized into the snapshot — a
-    predict must not move the state digest.
+    without the training before it, on the ``(app, pc)`` consensus
+    tracker looked up here.  The Tail CAM's lookup counter is restored
+    afterwards because it is serialized into the snapshot — a predict
+    must not move the state digest.
     """
     if learner.per_app and app not in learner._app_tables:
         return []
     learner._select_app(app)
     tail = learner.tail
     saved = tail.lookups
+    tracker = learner._iw_consensus.get((app, pc))
     try:
-        pairs = learner._generate_raw(warp, pc, addr, app, now)
+        pairs = learner._generate_raw(warp, pc, addr, tracker, now)
     finally:
         tail.lookups = saved
     return [target for target, _ in pairs]

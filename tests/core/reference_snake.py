@@ -1,20 +1,24 @@
 """Naive reference for Snake's training (§3.1) and prediction (§3.2).
 
 ``SnakePrefetcher._generate_raw`` walks a whole chain in one
-``TailTable.walk_raw`` call over the CAM index.  The prediction functions
+``TailTable.walk_raw`` call over the CAM index and skips deduplication
+when no address repeats.  The prediction functions
 below are the original shape it must match exactly: one
 ``TailTable.find`` (one ``lookups`` tick) per fan-out and per hop, the
 best-confirmed link picked by a ``(has this warp, popcount)`` key, and
 ``PrefetchRequest`` objects throughout.
 
-``SnakePrefetcher._detect`` and the Tail table's ``record_intra`` /
+``SnakePrefetcher.observe_raw`` trains and predicts in one body that
+looks each ``(app, pc)`` consensus tracker up once per access and hands
+it to generation; it and the Tail table's ``record_intra`` /
 ``record_inter_warp`` scan CAM buckets in place, advance the LRU tick
 inline and build a tracker or slot list only for a missing key; the
 Tail table counts intra-stride voters and remembers ``(stride, warp)``
 pairs, evicts through one ``attrgetter`` sort and removes entries with
-``list.remove``.  The training code below is the original shape:
-``setdefault(key, <new object>)`` on every vote, one voter *set* per
-(entry, stride) in :class:`ReferenceTailTable`, bucket copies through
+``list.remove``.  The training code below is the original shape, a
+separate step before generation: ``setdefault(key, <new object>)`` on
+every vote, one voter *set* per (entry, stride) in
+:class:`ReferenceTailTable`, bucket copies through
 ``find()``, one :func:`touch` per updated entry, a lambda-keyed LRU sort
 plus ``(popcount, last_use)`` minimum on eviction and identity scans on
 removal.
@@ -139,9 +143,9 @@ def detect(
     learner: SnakePrefetcher, warp_id: int, pc: int, base_addr: int,
     app_id: int,
 ) -> None:
-    """``SnakePrefetcher._detect`` with a throwaway slot list and
-    ``ConsensusTracker`` per ``setdefault`` and the reference Tail
-    updates above."""
+    """The training half of ``SnakePrefetcher.observe_raw`` with a
+    throwaway slot list and ``ConsensusTracker`` per ``setdefault`` and
+    the reference Tail updates above."""
     tail = learner.tail
     assert isinstance(tail, ReferenceTailTable)
     transition = learner.head.update(warp_id, pc, base_addr)
@@ -243,9 +247,11 @@ def intra_requests(
 
 
 def inter_warp_requests(
-    learner: SnakePrefetcher, event: AccessEvent
+    learner: SnakePrefetcher, event: AccessEvent,
+    tracker: Optional[ConsensusTracker],
 ) -> List[PrefetchRequest]:
-    tracker = learner._iw_consensus.get((event.app_id, event.pc))
+    """Inter-warp requests from the access's ``(app, pc)`` consensus
+    tracker (None when it has none)."""
     if tracker is None or tracker.trained_stride is None:
         return []
     stride = tracker.trained_stride
@@ -258,18 +264,19 @@ def inter_warp_requests(
 
 
 def generate(
-    learner: SnakePrefetcher, event: AccessEvent
+    learner: SnakePrefetcher, event: AccessEvent,
+    tracker: Optional[ConsensusTracker],
 ) -> List[PrefetchRequest]:
     """Deduplicated requests for one (already trained-on) access: chains
-    first (higher accuracy, §3.4), then intra-warp, then inter-warp, with
-    the learner's ``ChainWalkEvent`` telemetry."""
+    first (higher accuracy, §3.4), then intra-warp, then inter-warp from
+    ``tracker``, with the learner's ``ChainWalkEvent`` telemetry."""
     requests: List[PrefetchRequest] = []
     if learner.use_chains:
         requests.extend(chain_requests(learner, event))
     if learner.use_intra:
         requests.extend(intra_requests(learner, event))
     if learner.use_inter_warp:
-        requests.extend(inter_warp_requests(learner, event))
+        requests.extend(inter_warp_requests(learner, event, tracker))
 
     seen = set()
     unique: List[PrefetchRequest] = []
@@ -289,6 +296,27 @@ def generate(
             )
         )
     return unique
+
+
+def peek(
+    learner: SnakePrefetcher, warp_id: int, pc: int, base_addr: int,
+    app_id: int = 0,
+) -> List[int]:
+    """The serve ``predict`` read, naively: :func:`generate` on the
+    ``(app, pc)`` consensus tracker looked up here, with the Tail's
+    ``lookups`` restored; nothing for an app that has no tables."""
+    if learner.per_app and app_id not in learner._app_tables:
+        return []
+    learner._select_app(app_id)
+    saved = learner.tail.lookups
+    try:
+        requests = generate(learner, AccessEvent(
+            warp_id=warp_id, cta_id=0, pc=pc, base_addr=base_addr,
+            line_addr=base_addr, now=0, app_id=app_id,
+        ), learner._iw_consensus.get((app_id, pc)))
+    finally:
+        learner.tail.lookups = saved
+    return [r.base_addr for r in requests]
 
 
 class ReferenceSnake(SnakePrefetcher):
@@ -329,40 +357,56 @@ class ReferenceSnake(SnakePrefetcher):
         learner.head, learner.tail = learner._app_tables[0]
         return learner
 
-    def _detect(
-        self, warp_id: int, pc: int, base_addr: int, app_id: int
-    ) -> None:
+    def observe_raw(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0,
+    ) -> List[Tuple[int, int]]:
+        """Training through :func:`detect`, then generation through
+        :meth:`_generate_raw` on the consensus tracker looked up anew."""
+        if self.per_app:
+            self._select_app(app_id)
+        if divergent:
+            self.head.update(warp_id, pc, base_addr)
+            return []
         detect(self, warp_id, pc, base_addr, app_id)
+        return self._generate_raw(
+            warp_id, pc, base_addr, self._iw_consensus.get((app_id, pc)), now,
+        )
 
     def _generate_raw(
-        self, warp_id: int, pc: int, base_addr: int, app_id: int, now: int
+        self, warp_id: int, pc: int, base_addr: int,
+        tracker: Optional[ConsensusTracker], now: int,
     ) -> List[Tuple[int, int]]:
         return [
             (r.base_addr, r.depth)
             for r in generate(self, AccessEvent(
                 warp_id=warp_id, cta_id=0, pc=pc, base_addr=base_addr,
-                line_addr=base_addr, now=now, app_id=app_id,
-            ))
+                line_addr=base_addr, now=now,
+            ), tracker)
         ]
 
 
 def install(monkeypatch) -> Counter:
     """Make every Snake learner in the test train through :func:`detect`
     into :class:`ReferenceTailTable` tables and predict through
-    :func:`generate`.  Returns a counter of the ``"detect"`` and
-    ``"generate"`` calls that reached them, so a test can show the
-    references really ran."""
+    :func:`generate`, in :meth:`ReferenceSnake.observe_raw` and in the
+    generation entry point a serve ``predict`` reads through.  Returns a
+    counter of the ``"detect"`` and ``"generate"`` calls that reached
+    them, so a test can show the references really ran."""
     reached: Counter = Counter()
     monkeypatch.setattr(snake_module, "TailTable", ReferenceTailTable)
 
-    def counted_detect(learner, *args):
-        reached["detect"] += 1
-        ReferenceSnake._detect(learner, *args)
+    def counted_observe(learner, warp_id, pc, base_addr, app_id=0,
+                        divergent=False, now=0):
+        reached["detect"] += not divergent
+        return ReferenceSnake.observe_raw(
+            learner, warp_id, pc, base_addr, app_id, divergent, now,
+        )
 
     def counted_generate(learner, *args):
         reached["generate"] += 1
         return ReferenceSnake._generate_raw(learner, *args)
 
-    monkeypatch.setattr(SnakePrefetcher, "_detect", counted_detect)
+    monkeypatch.setattr(SnakePrefetcher, "observe_raw", counted_observe)
     monkeypatch.setattr(SnakePrefetcher, "_generate_raw", counted_generate)
     return reached

@@ -1,16 +1,17 @@
 """Property tests pinning the hot path to its naive references.
 
-The production lanes (Snake's training in ``SnakePrefetcher._detect``
-and the Tail table's in-place ``record_intra``/``record_inter_warp``
-with its counted votes and its eviction,
-``TailTable.walk_raw`` under ``SnakePrefetcher._generate_raw``,
-``observe_raw``, and the SM/L1 ``prefetch_trigger`` issue path) are
+The production lanes (Snake's one training-and-generation pass in
+``SnakePrefetcher.observe_raw``, the Tail table's in-place
+``record_intra``/``record_inter_warp`` with its counted votes and its
+eviction, ``TailTable.walk_raw`` under ``SnakePrefetcher._generate_raw``,
+and the SM/L1 ``prefetch_trigger`` issue path) are
 performance refactors of the naive references kept beside these tests
 (``reference_snake.py``, ``tests/gpusim/reference_issue.py``), and these
 tests are the pin — hypothesis-generated access streams, seeds and chain
 shapes (including forced Tail evictions, mid-stream stride changes,
-data-dependent tree walks that fill one CAM bucket and the fault
-injector's in-field corruption modes) must produce identical
+data-dependent tree walks that fill one CAM bucket, the fault
+injector's in-field corruption modes and every combination of Snake's
+variant flags) must produce identical
 predictions, learner snapshots (byte for byte, after every event) and
 statistics on both paths.
 """
@@ -28,6 +29,7 @@ from repro.gpusim import GPUConfig, simulate
 from repro.gpusim.sm import SM
 from repro.gpusim.trace import CTA, KernelTrace, Op, WarpInstr, WarpTrace, renumber_warps
 from repro.prefetch.base import AccessEvent
+from repro.serve.state import peek_predictions
 
 from ..gpusim import reference_issue
 from . import reference_snake
@@ -338,6 +340,98 @@ class TestRawLaneParity:
         assert lookups[0] == lookups[1] == lookups[2]
 
 
+def _event_records(events):
+    """:func:`_stream` events as raw ``observe_raw`` records."""
+    return [
+        (e.warp_id, e.pc, e.base_addr, e.app_id, e.divergent, e.now)
+        for e in events
+    ]
+
+
+def _two_app_records(events):
+    """:func:`_event_records` with the warps split over two apps by
+    parity; app 1's warps sit twice as far apart, so its ``(app, pc)``
+    consensus trackers train a different inter-warp stride from app 0's."""
+    return [
+        (w, pc, addr + (w * 0x1000 if w % 2 else 0), w % 2, divergent, now)
+        for w, pc, addr, _, divergent, now in _event_records(events)
+    ]
+
+
+#: Raw records from either stream family: :func:`_raw_stream` (several
+#: apps, negative strides, targets clipped at 0) or :func:`_stream`'s
+#: shapes (the ``shift`` shape trains inter-warp strides).
+ANY_RECORDS = st.one_of(
+    RAW_STREAMS.map(lambda params: _raw_stream(*params)),
+    STREAMS.map(lambda params: _event_records(_stream(*params))),
+)
+
+FLAG_NAMES = ("use_chains", "use_intra", "use_inter_warp", "per_app")
+
+
+class TestVariantFlagParity:
+    """Snake's variant flags each skip part of the one training and
+    generation pass (``use_inter_warp=False`` leaves generation with no
+    consensus tracker; ``s-snake`` keeps only the chains).  Production
+    and the reference must stay in lockstep under every combination,
+    through ``observe_raw`` and through the serve ``predict`` read."""
+
+    @staticmethod
+    def _lockstep(flags, records, tail_entries, depth, depth_limit):
+        kwargs = dict(head_entries=6, tail_entries=tail_entries,
+                      train_threshold=2, max_chain_depth=depth, **flags)
+        production, reference = SnakePrefetcher(**kwargs), ReferenceSnake(**kwargs)
+        for learner in (production, reference):
+            learner.set_depth_limit(depth_limit)
+        chained = False
+        for warp, pc, addr, app, divergent, now in records:
+            got = production.observe_raw(warp, pc, addr, app, divergent, now)
+            want = reference.observe_raw(warp, pc, addr, app, divergent, now)
+            assert got == want
+            assert _state(production) == _state(reference)
+            assert peek_predictions(production, warp, pc, addr, app) == \
+                reference_snake.peek(reference, warp, pc, addr, app)
+            assert _state(production) == _state(reference)
+            chained |= production.trained
+        return production, chained
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=ANY_RECORDS, tail_entries=st.integers(2, 20),
+           depth=st.integers(1, 10), depth_limit=st.integers(0, 12),
+           flags=st.fixed_dictionaries(
+               {name: st.booleans() for name in FLAG_NAMES}))
+    @example(records=_event_records(_stream(7, 200, 4, 8, "shift")),
+             tail_entries=16, depth=8, depth_limit=2,
+             flags=dict(use_chains=True, use_intra=False,
+                        use_inter_warp=False, per_app=False))
+    def test_flags_match_reference(self, records, tail_entries, depth,
+                                   depth_limit, flags):
+        self._lockstep(flags, records, tail_entries, depth, depth_limit)
+
+    @pytest.mark.parametrize("bits", range(16))
+    def test_every_flag_combination_on_a_training_stream(self, bits):
+        """Each of the 16 combinations on the ``shift`` stream over two
+        apps, which trains chain links, intra-warp strides and a
+        different inter-warp stride per app.  Each stride detector runs
+        exactly when its flag is set, and the throttle's depth limit (2)
+        cuts chain walks below the learner's own maximum (8)."""
+        flags = {name: bool(bits >> i & 1) for i, name in enumerate(FLAG_NAMES)}
+        learner, chained = self._lockstep(
+            flags, _two_app_records(_stream(7, 400, 4, 8, "shift")), 16, 8, 2,
+        )
+        assert chained  # chain links train under every flag set
+        assert bool(learner._intra_last) == flags["use_intra"]
+        strides = {
+            app: {t.trained_stride for (a, _), t in learner._iw_consensus.items()
+                  if a == app} - {None}
+            for app in (0, 1)
+        }
+        if flags["use_inter_warp"]:
+            assert strides[0] and strides[1] and strides[0] != strides[1]
+        else:
+            assert strides == {0: set(), 1: set()}
+
+
 def _small_kernel(seed):
     """A compact two-CTA kernel mixing strided and chained loads."""
     rng = random.Random(seed)
@@ -369,6 +463,7 @@ class TestSimulatorReferenceParity:
     @given(seed=st.integers(0, 2**31),
            mech=st.sampled_from(["snake", "s-snake", "intra"]))
     @example(seed=3, mech="snake")
+    @example(seed=36, mech="intra")
     def test_references_do_not_move_stats(self, seed, mech):
         kernel = _small_kernel(seed)
         # Count production's triggers: the issue reference must see each.
@@ -382,8 +477,15 @@ class TestSimulatorReferenceParity:
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(SM, "_issue_prefetches", counted)
             reference = simulate(kernel, prefetcher=mech, config=GPUConfig())
-        # Intra-warp stride trains on every kernel _small_kernel builds.
-        assert triggers["trigger"] > 0 or mech != "intra"
+        # Intra-warp stride confirms on a warp's third load at a PC, so
+        # it triggers exactly when some warp runs three iterations (three
+        # instructions each; a kernel whose warps all run two, like
+        # seed 36's, has none).
+        if mech == "intra":
+            assert (triggers["trigger"] > 0) == any(
+                len(warp.instrs) >= 9
+                for cta in kernel.ctas for warp in cta.warps
+            )
         for snake_ref, issue_ref in ((True, False), (False, True),
                                      (True, True)):
             with pytest.MonkeyPatch.context() as monkeypatch:

@@ -174,6 +174,15 @@ class TestSnakeSnapshot:
         restored = SnakePrefetcher.restore(snake.snapshot())
         assert restored._depth_limit == 2
 
+    @pytest.mark.parametrize("depth_limit", [0, -5])
+    def test_depth_limit_below_one_rejected(self, depth_limit):
+        """``set_depth_limit`` clamps to >= 1, so no live learner has a
+        smaller limit and no snapshot may restore one."""
+        data = SnakePrefetcher().snapshot()
+        data["depth_limit"] = depth_limit
+        with pytest.raises(ValueError, match="depth_limit"):
+            SnakePrefetcher.restore(data)
+
     def test_app_zero_required(self):
         data = SnakePrefetcher().snapshot()
         data["app_tables"] = []

@@ -1,52 +1,25 @@
-"""``ServiceState.predict`` against the scalar reference read.
+"""``ServiceState.predict`` and ``apply`` against the naive references.
 
-The service answers a prediction through the learner's production
-generation lane (``SnakePrefetcher._generate_raw``).  ``scalar_peek``
-below is the reference it must match: the naive generation functions of
-``tests/core/reference_snake.py``, one CAM search per hop.  Neither read
-may move the state digest.
+The service trains and predicts in one pass per applied record
+(``SnakePrefetcher.observe_raw``), and answers a prediction through the
+same generation body on its own (``SnakePrefetcher._generate_raw``, with
+``peek_predictions`` looking the consensus tracker up).  ``scalar_peek``
+(``tests/core/reference_snake.py``'s ``peek``) is the reference a read
+must match: the naive generation functions, one CAM search per hop.
+Neither read may move the state digest.  A ``serve-drain``-shaped run
+is also replayed with every learner swapped for the reference one, and
+must reach the same digest after every sweep.
 """
 
 import pytest
 
 from repro.core.snake import SnakePrefetcher
-from repro.prefetch.base import AccessEvent
 from repro.serve import suite_events
+from repro.serve.loadgen import CLIENT_ADDR_STRIDE
 from repro.serve.state import ServeConfig, ServiceState, peek_predictions
 
-from ..core.reference_snake import (
-    chain_requests,
-    inter_warp_requests,
-    intra_requests,
-)
-
-
-def scalar_peek(learner, warp, pc, addr, app=0):
-    """Read-only scalar prediction: chains, then intra-warp, then
-    inter-warp, deduplicated chain-first, with ``lookups`` restored."""
-    if learner.per_app and app not in learner._app_tables:
-        return []
-    learner._select_app(app)
-    event = AccessEvent(warp_id=warp, cta_id=0, pc=pc, base_addr=addr,
-                        line_addr=addr, now=0, app_id=app)
-    saved = learner.tail.lookups
-    try:
-        requests = []
-        if learner.use_chains:
-            requests.extend(chain_requests(learner, event))
-        if learner.use_intra:
-            requests.extend(intra_requests(learner, event))
-        if learner.use_inter_warp:
-            requests.extend(inter_warp_requests(learner, event))
-    finally:
-        learner.tail.lookups = saved
-    seen = set()
-    out = []
-    for request in requests:
-        if request.base_addr not in seen:
-            seen.add(request.base_addr)
-            out.append(request.base_addr)
-    return out
+from ..core import reference_snake
+from ..core.reference_snake import peek as scalar_peek
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -91,3 +64,62 @@ def test_per_app_peek_matches_scalar_reference():
                     scalar_peek(learner, 1, pc, addr, app)
     assert learner.snapshot() == image
     assert peek_predictions(learner, 1, 0x10, 0x1000, 0)
+
+
+def _drain_records(clients, events, seed):
+    """``serve-drain``-shaped traffic: client ``i`` replays app
+    ``i % 4``'s kernel events at an address offset of its own, and the
+    queue holds the next record of every client, in client order."""
+    streams = suite_events(("lps", "hotspot", "backprop", "mum"),
+                           scale=0.1, seed=seed)
+    names = ["c%02d" % i for i in range(clients)]
+    records = []
+    for k in range(events):
+        for i, name in enumerate(names):
+            stream = streams[i % len(streams)]
+            if k < len(stream):
+                warp, pc, addr = stream[k]
+                records.append(
+                    (name, warp, pc, addr + i * CLIENT_ADDR_STRIDE, 0)
+                )
+    return names, records
+
+
+def _drain(names, records):
+    """Apply ``records`` in 32-record sweeps with a predict of each
+    sweep's last record after it; one (digest, apply answers, predict
+    answer) row per sweep."""
+    state = ServiceState(ServeConfig())
+    for name in names:
+        state.admit(name)
+    rows = []
+    for start in range(0, len(records), 32):
+        batch = records[start:start + 32]
+        results = state.apply_batch(batch)
+        answer = state.predict(*batch[-1])
+        rows.append((
+            state.state_digest(),
+            [(r.predictions, r.degraded) for r in results],
+            answer,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_drain_matches_reference_learners(seed):
+    """The same drain with production learners and with every learner
+    training through ``reference_snake.detect`` and predicting through
+    ``reference_snake.generate``: equal digests after every sweep and
+    equal apply and predict answers."""
+    names, records = _drain_records(12, 64, seed)
+    production = _drain(names, records)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        reached = reference_snake.install(monkeypatch)
+        reference = _drain(names, records)
+    assert reached["detect"] == len(records)
+    assert reached["generate"] == len(records) + len(production)
+    assert len(production) == len(reference) == -(-len(records) // 32)
+    for sweep, (got, want) in enumerate(zip(production, reference)):
+        assert got == want, "sweep %d diverged" % sweep
+    # The learners trained: some sweep's predict read returned targets.
+    assert any(answer[0] for _, _, answer in production)
