@@ -6,13 +6,28 @@ instructions carry a per-warp *base address* and a *thread stride*; the
 coalescer expands them into cache-line requests.  The paper (§3.4) observes
 that the stride between threads of a warp is consistently equal, so this
 compact (base, stride) encoding loses nothing the prefetchers care about.
+
+Building a trace is set-up cost paid before every simulation, and nearly
+all of it is :class:`WarpInstr` construction.  Two rules keep it small:
+
+* an ALU, SFU or BARRIER instruction carries no operands, so it is an
+  immutable value fixed by its ``(op, pc)``; :class:`PlainInstrs` hands out
+  one shared object per pc for one op, and every builder (the workload
+  generators, :func:`~repro.gpusim.traceio.load_trace`) makes such
+  instructions only through it;
+* a LOAD or STORE keeps one object each, built by a hand-written frozen
+  ``__init__`` that binds ``object.__setattr__`` once and validates inline
+  instead of running a generated ``__init__`` plus ``__post_init__``.
+
+Sharing is exact: a ``WarpInstr`` is frozen, compares and hashes by value,
+and nothing in the simulator mutates one or keys anything by its identity.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 
 class Op(enum.Enum):
@@ -25,12 +40,20 @@ class Op(enum.Enum):
     BARRIER = "barrier"
 
 
-@dataclass(frozen=True, slots=True)
+_MEM_OPS = (Op.LOAD, Op.STORE)
+#: The address-free ops: their instruction is fixed by ``(op, pc)``.
+PLAIN_OPS = (Op.ALU, Op.SFU, Op.BARRIER)
+
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class WarpInstr:
     """One warp-wide instruction.
 
     ``base_addr``/``thread_stride`` are only meaningful for LOAD/STORE: thread
-    *i* of the warp accesses ``base_addr + i * thread_stride``.
+    *i* of the warp accesses ``base_addr + i * thread_stride``.  Make
+    ALU/SFU/BARRIER instructions through :class:`PlainInstrs`.
     """
 
     pc: int
@@ -42,15 +65,53 @@ class WarpInstr:
     #: per §3.4 such warps are excluded from prefetch training
     divergent: bool = False
 
-    def __post_init__(self) -> None:
-        if self.pc < 0:
+    def __init__(self, pc: int, op: Op, base_addr: int = 0,
+                 thread_stride: int = 0, size_bytes: int = 4,
+                 divergent: bool = False) -> None:
+        if pc < 0:
             raise ValueError("pc must be non-negative")
-        if self.op in (Op.LOAD, Op.STORE) and self.base_addr < 0:
+        if base_addr < 0 and op in _MEM_OPS:
             raise ValueError("memory instruction needs a non-negative address")
+        _setattr(self, "pc", pc)
+        _setattr(self, "op", op)
+        _setattr(self, "base_addr", base_addr)
+        _setattr(self, "thread_stride", thread_stride)
+        _setattr(self, "size_bytes", size_bytes)
+        _setattr(self, "divergent", divergent)
 
     @property
     def is_mem(self) -> bool:
-        return self.op in (Op.LOAD, Op.STORE)
+        return self.op in _MEM_OPS
+
+
+class PlainInstrs(Dict[int, WarpInstr]):
+    """``pc -> WarpInstr`` for one address-free op: the one shared
+    instruction per pc, made on first lookup (``table[pc]``).
+
+    One table per op keeps the key a plain int (``Enum.__hash__`` runs in
+    Python).  A table lives as long as its owner: the workload generators,
+    keyed by their code's PCs, or one
+    :func:`~repro.gpusim.traceio.load_trace` call.
+    """
+
+    #: Entries a table keeps.  Past it a lookup still returns a correct,
+    #: unshared instruction, so a long-lived table cannot grow without bound.
+    LIMIT = 1 << 12
+
+    __slots__ = ("op",)
+
+    def __init__(self, op: Op) -> None:
+        if op not in PLAIN_OPS:
+            raise ValueError("%s instructions carry operands; only %s are shared"
+                             % (op.name, "/".join(o.name for o in PLAIN_OPS)))
+        super().__init__()
+        self.op = op
+
+    def __missing__(self, pc: int) -> WarpInstr:
+        instr = WarpInstr(pc, self.op)
+        if len(self) < self.LIMIT:
+            self[pc] = instr
+        return instr
 
 
 @dataclass

@@ -11,20 +11,24 @@ Format (one JSON object per line):
 * CTA line:    ``{"cta": id}`` — opens a CTA; warps follow
 * warp line:   ``{"warp": id, "instrs": [[pc, op, base, stride, size, div], ...]}``
 
-Memory operands are omitted for non-memory ops, keeping files small.
+Memory operands are omitted for non-memory ops, keeping files small: a
+LOAD/STORE record has exactly the 6 fields and an ALU/SFU/BARRIER record
+exactly the 2, and ``div`` is 0 or 1.  Any other shape is rejected, so
+every accepted file round-trips.  Each :func:`load_trace` call shares
+one :class:`~repro.gpusim.trace.PlainInstrs` object per address-free
+``(op, pc)``, in a table that lives only for that call.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
-from .trace import CTA, KernelTrace, Op, WarpInstr, WarpTrace
+from .trace import CTA, PLAIN_OPS, KernelTrace, Op, PlainInstrs, WarpInstr, WarpTrace
 
 FORMAT_VERSION = 1
 
-_OP_CODE = {op: op.value for op in Op}
 _CODE_OP = {op.value: op for op in Op}
 
 
@@ -85,7 +89,9 @@ def _require_int(value: object, what: str, minimum: Optional[int] = None,
 _MAX_ADDR = (1 << 64) - 1
 
 
-def _decode_instr(record: list) -> WarpInstr:
+def _decode_instr(record: list, plain: Dict[str, PlainInstrs]) -> WarpInstr:
+    """One instruction record; ``plain`` maps an address-free opcode to the
+    calling :func:`load_trace`'s table of shared instructions."""
     if not isinstance(record, list) or len(record) not in (2, 6):
         raise ValueError(
             "instruction record must have 2 or 6 fields, got %r" % (record,)
@@ -93,14 +99,19 @@ def _decode_instr(record: list) -> WarpInstr:
     opcode = record[1]
     if isinstance(opcode, bool) or opcode not in _CODE_OP:
         raise ValueError("unknown opcode %r" % (opcode,))
+    table = plain.get(opcode)
     if len(record) == 2:
-        return WarpInstr(
-            pc=_require_int(record[0], "pc", minimum=0),
-            op=_CODE_OP[opcode],
+        if table is None:
+            raise ValueError(
+                "%s record needs 6 fields (pc, op, base, stride, size, "
+                "divergent), got %r" % (opcode, record)
+            )
+        return table[_require_int(record[0], "pc", minimum=0)]
+    if table is not None:
+        raise ValueError(
+            "%s record takes 2 fields (pc, op), got %r" % (opcode, record)
         )
     pc, op, base, stride, size, divergent = record
-    if not isinstance(divergent, (bool, int)):
-        raise ValueError("divergent flag must be 0/1, got %r" % (divergent,))
     return WarpInstr(
         pc=_require_int(pc, "pc", minimum=0),
         op=_CODE_OP[op],
@@ -108,7 +119,8 @@ def _decode_instr(record: list) -> WarpInstr:
         thread_stride=_require_int(stride, "thread_stride",
                                    minimum=-_MAX_ADDR, maximum=_MAX_ADDR),
         size_bytes=_require_int(size, "size_bytes", minimum=1),
-        divergent=bool(divergent),
+        divergent=bool(_require_int(divergent, "divergent", minimum=0,
+                                    maximum=1)),
     )
 
 
@@ -146,6 +158,7 @@ def load_trace(path: Union[str, Path]) -> KernelTrace:
 
     offset = 0
     kernel: KernelTrace = None  # set by the header record
+    plain = {op.value: PlainInstrs(op) for op in PLAIN_OPS}
     current: List[WarpTrace] = []
     for index, line in enumerate(raw.split(b"\n")):
         if not line.strip():
@@ -190,7 +203,7 @@ def load_trace(path: Union[str, Path]) -> KernelTrace:
                 raise fail("warp record carries no instruction list", offset, index)
             try:
                 warp_id = _require_int(record["warp"], "warp id", minimum=0)
-                decoded = [_decode_instr(r) for r in instrs]
+                decoded = [_decode_instr(r, plain) for r in instrs]
             except (ValueError, TypeError, KeyError, IndexError) as exc:
                 raise fail("corrupt instruction record: %s" % exc, offset, index) from exc
             current.append(WarpTrace(warp_id=warp_id, instrs=decoded))

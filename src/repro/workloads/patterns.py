@@ -13,7 +13,11 @@ Conventions:
   (one 128 B line per warp access);
 * arrays live at well-separated bases (``array_base``) so strides never
   alias across data structures;
-* PCs are byte addresses of the load instructions, unique per static load.
+* PCs are byte addresses of the load instructions, unique per static load;
+* ALU/SFU/BARRIER instructions come from one shared
+  :class:`~repro.gpusim.trace.PlainInstrs` table per op, keyed by the PCs
+  the generators' code emits, so a kernel holds one object per such
+  ``(op, pc)``; loads and stores are one object each.
 """
 
 from __future__ import annotations
@@ -22,10 +26,16 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.gpusim.trace import CTA, KernelTrace, Op, WarpInstr, WarpTrace, renumber_warps
+from repro.gpusim.trace import (
+    CTA, KernelTrace, Op, PlainInstrs, WarpInstr, WarpTrace, renumber_warps,
+)
 
 ELEM = 4  #: element size in bytes
 LINE = 128  #: cache line size the configs use
+
+#: The generators' shared address-free instructions, keyed by the PCs
+#: their code emits.
+_ALU, _SFU, _BARRIER = map(PlainInstrs, (Op.ALU, Op.SFU, Op.BARRIER))
 
 
 def array_base(index: int) -> int:
@@ -53,12 +63,11 @@ class WarpProgram:
     instrs: List[WarpInstr] = field(default_factory=list)
 
     def alu(self, pc: int, count: int = 1) -> "WarpProgram":
-        for i in range(count):
-            self.instrs.append(WarpInstr(pc=pc + 8 * i, op=Op.ALU))
+        self.instrs.extend(map(_ALU.__getitem__, range(pc, pc + 8 * count, 8)))
         return self
 
     def sfu(self, pc: int) -> "WarpProgram":
-        self.instrs.append(WarpInstr(pc=pc, op=Op.SFU))
+        self.instrs.append(_SFU[pc])
         return self
 
     def load(
@@ -70,14 +79,8 @@ class WarpProgram:
         divergent: bool = False,
     ) -> "WarpProgram":
         self.instrs.append(
-            WarpInstr(
-                pc=pc,
-                op=Op.LOAD,
-                base_addr=max(0, addr),
-                thread_stride=thread_stride,
-                size_bytes=size,
-                divergent=divergent,
-            )
+            WarpInstr(pc, Op.LOAD, addr if addr > 0 else 0, thread_stride,
+                      size, divergent)
         )
         return self
 
@@ -85,18 +88,12 @@ class WarpProgram:
         self, pc: int, addr: int, thread_stride: int = ELEM, size: int = ELEM
     ) -> "WarpProgram":
         self.instrs.append(
-            WarpInstr(
-                pc=pc,
-                op=Op.STORE,
-                base_addr=max(0, addr),
-                thread_stride=thread_stride,
-                size_bytes=size,
-            )
+            WarpInstr(pc, Op.STORE, addr if addr > 0 else 0, thread_stride, size)
         )
         return self
 
     def barrier(self, pc: int) -> "WarpProgram":
-        self.instrs.append(WarpInstr(pc=pc, op=Op.BARRIER))
+        self.instrs.append(_BARRIER[pc])
         return self
 
     def chain_iteration(

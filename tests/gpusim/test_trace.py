@@ -1,11 +1,15 @@
 """Trace model types."""
 
+import dataclasses
+
 import pytest
 
 from repro.gpusim.trace import (
     CTA,
     KernelTrace,
     Op,
+    PLAIN_OPS,
+    PlainInstrs,
     WarpInstr,
     WarpTrace,
     renumber_warps,
@@ -31,9 +35,51 @@ class TestWarpInstr:
             WarpInstr(pc=0, op=Op.LOAD, base_addr=-4)
 
     def test_frozen(self):
-        instr = load(0x10, 0)
-        with pytest.raises(AttributeError):
-            instr.pc = 5
+        for instr in (load(0x10, 0), PlainInstrs(Op.ALU)[0x10]):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                instr.pc = 5
+
+    def test_value_semantics(self):
+        a = WarpInstr(0x10, Op.LOAD, 64, 4, 8, True)
+        b = WarpInstr(pc=0x10, op=Op.LOAD, base_addr=64, thread_stride=4,
+                      size_bytes=8, divergent=True)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != WarpInstr(0x10, Op.LOAD, 64, 4, 8, False)
+        assert repr(a) == (
+            "WarpInstr(pc=16, op=<Op.LOAD: 'load'>, base_addr=64, "
+            "thread_stride=4, size_bytes=8, divergent=True)"
+        )
+        assert WarpInstr(0x10, Op.ALU) == WarpInstr(pc=0x10, op=Op.ALU,
+                                                   base_addr=0, thread_stride=0,
+                                                   size_bytes=4, divergent=False)
+
+
+class TestPlainInstrs:
+    @pytest.mark.parametrize("op", PLAIN_OPS)
+    def test_one_shared_instr_per_pc(self, op):
+        table = PlainInstrs(op)
+        first = table[0x40]
+        assert first == WarpInstr(pc=0x40, op=op)
+        assert table[0x40] is first
+        assert table[0x48] is not first
+
+    @pytest.mark.parametrize("op", [Op.LOAD, Op.STORE])
+    def test_memory_ops_rejected(self, op):
+        with pytest.raises(ValueError, match=op.name):
+            PlainInstrs(op)
+
+    def test_negative_pc_rejected(self):
+        with pytest.raises(ValueError, match="pc"):
+            PlainInstrs(Op.ALU)[-8]
+
+    def test_limit_bounds_the_table_not_the_answers(self):
+        table = PlainInstrs(Op.SFU)
+        kept = [table[8 * i] for i in range(PlainInstrs.LIMIT)]
+        extra = table[8 * PlainInstrs.LIMIT]
+        assert len(table) == PlainInstrs.LIMIT
+        assert table[0] is kept[0] and table[8] is kept[1]
+        assert extra == WarpInstr(pc=8 * PlainInstrs.LIMIT, op=Op.SFU)
+        assert table[8 * PlainInstrs.LIMIT] is not extra
 
 
 class TestWarpTrace:

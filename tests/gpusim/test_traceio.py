@@ -9,6 +9,8 @@ from repro.gpusim.trace import CTA, KernelTrace, Op, WarpInstr, WarpTrace
 from repro.gpusim.traceio import TraceFormatError, load_trace, save_trace
 from repro.workloads import build_kernel
 
+from ..workloads.test_trace_digests import plain_instrs_by_key
+
 
 def instr_strategy():
     mem = st.builds(
@@ -150,6 +152,58 @@ class TestTraceFormatError:
         path.write_text("")
         with pytest.raises(ValueError):
             load_trace(path)
+
+
+def _one_record_trace(tmp_path, record):
+    path = tmp_path / "one.trace"
+    path.write_text(
+        json.dumps({"kernel": "x", "version": 1}) + "\n"
+        + json.dumps({"cta": 0}) + "\n"
+        + json.dumps({"warp": 0, "instrs": [record]}) + "\n"
+    )
+    return path
+
+
+class TestRecordShape:
+    """A record the encoder would never write is rejected, so every file
+    that loads round-trips: memory ops take exactly 6 fields, address-free
+    ops exactly 2, and the divergent flag is 0 or 1."""
+
+    def _reject(self, tmp_path, record, words):
+        with pytest.raises(TraceFormatError) as exc:
+            load_trace(_one_record_trace(tmp_path, record))
+        assert exc.value.record_index == 2
+        for word in words:
+            assert word in str(exc.value.__cause__)
+
+    def test_memory_op_without_operands_rejected(self, tmp_path):
+        # used to load as a real access at address 0 with stride 0
+        self._reject(tmp_path, [16, "load"], ["load", "6 fields"])
+
+    def test_address_free_op_with_operands_rejected(self, tmp_path):
+        # used to load, then save back as [16, "alu"]
+        self._reject(tmp_path, [16, "alu", 4096, 4, 4, 0], ["alu", "2 fields"])
+
+    def test_divergent_flag_outside_zero_one_rejected(self, tmp_path):
+        # used to load as divergent=True
+        self._reject(tmp_path, [16, "load", 4096, 4, 4, 7], ["divergent"])
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_divergent_flag_zero_one_loads(self, tmp_path, flag):
+        kernel = load_trace(_one_record_trace(tmp_path, [16, "load", 4096, 4, 4, flag]))
+        assert kernel.ctas[0].warps[0].instrs[0].divergent is bool(flag)
+
+
+class TestSharedInstrs:
+    def test_loaded_plain_instrs_are_shared_per_op_and_pc(self, tmp_path):
+        path = save_trace(build_kernel("lps", scale=0.1, seed=1),
+                          tmp_path / "lps.trace")
+        first = plain_instrs_by_key(load_trace(path))
+        again = plain_instrs_by_key(load_trace(path))
+        assert first and again == first
+        # one table per load_trace call: a second load shares nothing
+        # with the first
+        assert all(again[key] is not instr for key, instr in first.items())
 
 
 class TestSimulationEquivalence:

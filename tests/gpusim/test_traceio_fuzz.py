@@ -11,6 +11,7 @@ the damage, never a bare ``JSONDecodeError`` / ``TypeError`` /
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,32 +91,42 @@ class TestNumericPoison:
         )
         return path
 
-    @pytest.mark.parametrize("bad_instr", [
-        [float("nan"), 1, 4096, 4, 4, 0],        # NaN pc
-        [16, 1, float("inf"), 4, 4, 0],          # Infinity address
-        [16, 1, -4096, 4, 4, 0],                 # negative address
-        [16, 1, 1 << 80, 4, 4, 0],               # address beyond 2^64
-        [16, 1, 4096.5, 4, 4, 0],                # float address
-        [16, 1, 4096, 4, 0, 0],                  # zero-byte access
-        [16, 1, 4096, 4, -4, 0],                 # negative size
-        [True, 1, 4096, 4, 4, 0],                # boolean pc
-        [16, True, 4096, 4, 4, 0],               # boolean opcode
-        ["16", 1, 4096, 4, 4, 0],                # string pc
-        [16, 1, "4096", 4, 4, 0],                # string address
-        [16, 99, 4096, 4, 4, 0],                 # unknown opcode
-        [16, 1, 4096, 4, 4, "yes"],              # non-numeric divergent flag
-        [16, 1, 4096],                           # wrong field count
-        "not-a-list",                            # instr is not a list
-    ])
-    def test_poisoned_instruction_rejected(self, tmp_path, bad_instr):
+    #: (record, the field it poisons)
+    POISONED = [
+        ([float("nan"), "load", 4096, 4, 4, 0], "pc"),         # NaN pc
+        ([16, "load", float("inf"), 4, 4, 0], "base_addr"),    # Infinity address
+        ([16, "load", -4096, 4, 4, 0], "base_addr"),           # negative address
+        ([16, "load", 1 << 80, 4, 4, 0], "base_addr"),         # address beyond 2^64
+        ([16, "load", 4096.5, 4, 4, 0], "base_addr"),          # float address
+        ([16, "load", 4096, 4, 0, 0], "size_bytes"),           # zero-byte access
+        ([16, "load", 4096, 4, -4, 0], "size_bytes"),          # negative size
+        ([True, "load", 4096, 4, 4, 0], "pc"),                 # boolean pc
+        ([16, True, 4096, 4, 4, 0], "opcode"),                 # boolean opcode
+        (["16", "load", 4096, 4, 4, 0], "pc"),                 # string pc
+        ([16, "load", "4096", 4, 4, 0], "base_addr"),          # string address
+        ([16, 99, 4096, 4, 4, 0], "opcode"),                   # unknown opcode
+        ([16, "load", 4096, 4, 4, "yes"], "divergent"),        # non-numeric divergent flag
+        ([16, "load", 4096], "fields"),                        # wrong field count
+        ("not-a-list", "fields"),                              # instr is not a list
+    ]
+
+    @pytest.mark.parametrize(
+        "bad_instr, field", POISONED,
+        ids=[r if isinstance(r, str) else "bad_instr%d" % i
+             for i, (r, _) in enumerate(POISONED)],
+    )
+    def test_poisoned_instruction_rejected(self, tmp_path, bad_instr, field):
+        """Each case poisons one field of an otherwise valid load record,
+        so the decoder's message must name that field."""
         path = self._write(tmp_path, self._warp_line(bad_instr))
         error = expect_format_error(path)
         assert error.record_index == 2
+        assert re.search(r"\b%s\b" % field, str(error.__cause__)), error
 
     def test_nan_literal_in_raw_bytes(self, tmp_path):
         # Python's json emits/accepts bare NaN; the loader must not.
         path = self._write(
-            tmp_path, b'{"warp": 0, "instrs": [[NaN, 1, 4096, 4, 4, 0]]}'
+            tmp_path, b'{"warp": 0, "instrs": [[NaN, "load", 4096, 4, 4, 0]]}'
         )
         expect_format_error(path)
 

@@ -44,8 +44,8 @@ class TestWarpProgram:
             assert (1 << 20) <= instr.base_addr < (1 << 20) + 4096
 
     def test_negative_addresses_clamped(self):
-        program = WarpProgram(warp_id=0).load(0x10, -500)
-        assert program.build().loads()[0].base_addr == 0
+        program = WarpProgram(warp_id=0).load(0x10, -500).store(0x18, -500)
+        assert [i.base_addr for i in program.build()] == [0, 0]
 
     def test_builder_chains(self):
         trace = (
