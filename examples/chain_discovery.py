@@ -12,7 +12,6 @@ Run with::
 """
 
 from repro.core.snake import SnakePrefetcher
-from repro.prefetch.base import AccessEvent
 from repro.workloads import build_kernel
 
 
@@ -42,13 +41,10 @@ def main() -> None:
             if instr is None:
                 live.remove(idx)
                 continue
-            event = AccessEvent(
-                warp_id=warps[idx].warp_id, cta_id=0, pc=instr.pc,
-                base_addr=instr.base_addr,
-                line_addr=instr.base_addr - instr.base_addr % 128,
-                now=step, thread_stride=instr.thread_stride,
+            warp_id = warps[idx].warp_id
+            requests = snake.observe(
+                warp_id, instr.pc, instr.base_addr, now=step
             )
-            requests = snake.observe(event)
             step += 1
             if step in (8, 16, 48):
                 print("after %d observed loads:" % step)
@@ -56,11 +52,10 @@ def main() -> None:
                 print()
             if step == 64:
                 print("prefetch requests for warp %d at PC %s (addr %d):"
-                      % (event.warp_id, hex(event.pc), event.base_addr))
-                for request in requests:
+                      % (warp_id, hex(instr.pc), instr.base_addr))
+                for addr, depth in requests:
                     print("    depth %d -> address %d (delta %+d)"
-                          % (request.depth, request.base_addr,
-                             request.base_addr - event.base_addr))
+                          % (depth, addr, addr - instr.base_addr))
                 return
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.events import ChainWalkEvent
-from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
+from repro.prefetch.base import Prefetcher
 from repro.prefetch.stride import ConsensusTracker
 
 from .head_table import HeadTable, SNAPSHOT_VERSION
@@ -109,19 +109,18 @@ class SnakePrefetcher(Prefetcher):
     # ------------------------------------------------------------------
     # One pass per observed load: training (§3.1), then generation (§3.2)
 
-    def observe_raw(
+    def observe(
         self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
-        divergent: bool = False, now: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
     ) -> List[Tuple[int, int]]:
-        """Digest one access given as plain ints; return its deduplicated
-        ``(base_addr, depth)`` prefetch pairs.
+        """Digest one access; return its deduplicated ``(base_addr, depth)``
+        prefetch pairs.
 
         Training: the Head table's transition from the warp's previous
         load feeds the Tail's chain links, then the intra-warp and
         inter-warp stride detectors run; generation reads the same
-        ``(app, pc)`` consensus tracker.  The SM and the serve core call
-        it with the load's fields, so no :class:`AccessEvent` or
-        :class:`PrefetchRequest` is built.  ``now`` only stamps telemetry.
+        ``(app, pc)`` consensus tracker.  The SM and the serve core both
+        call it.  ``now`` only stamps telemetry; ``cta_id`` is unused.
         """
         if self.per_app:
             self._select_app(app_id)
@@ -234,17 +233,6 @@ class SnakePrefetcher(Prefetcher):
                 )
             )
         return pairs
-
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
-        """The generic :class:`Prefetcher` adapter: :meth:`observe_raw`
-        with the pairs boxed."""
-        return [
-            PrefetchRequest(base_addr=addr, depth=depth)
-            for addr, depth in self.observe_raw(
-                event.warp_id, event.pc, event.base_addr, event.app_id,
-                event.divergent, event.now,
-            )
-        ]
 
     def tables(self) -> List[Tuple[int, HeadTable, TailTable]]:
         """Every (app_id, head, tail) table pair this prefetcher owns —

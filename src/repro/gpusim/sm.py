@@ -21,7 +21,7 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.obs.events import BusLike, CacheAccessEvent, NULL_BUS
-from repro.prefetch.base import AccessEvent, Prefetcher
+from repro.prefetch.base import Prefetcher
 
 # ``coalesce`` is unused here but stays bound: perfbench wraps this module's names.
 from .coalescer import coalesce, coalesce_lines, coalesce_sectors  # noqa: F401
@@ -112,15 +112,13 @@ class SM:
         # Whether the prefetcher accepts a dynamic chain-depth cap; probed
         # once here instead of per observed access.
         self._pf_has_depth_limit = hasattr(prefetcher, "set_depth_limit")
-        # Raw observe lane (Snake): takes the load's fields as plain ints
-        # and returns (base_addr, depth) pairs, so the issue path builds
-        # neither an AccessEvent nor PrefetchRequests.
-        self._pf_observe_raw = getattr(prefetcher, "observe_raw", None)
+        # The one observe call per load, bound once: the load's fields in,
+        # (base_addr, depth) pairs out.
+        self._pf_observe = prefetcher.observe
         # A mechanism that never predicts ("none" baseline keeps the base
         # class observe) makes the whole prefetcher hook a no-op, so loads
-        # skip building AccessEvents entirely — unless a fault injector is
-        # armed, whose corrupt-tail RNG draws must keep their per-load
-        # cadence.
+        # skip it entirely — unless a fault injector is armed, whose
+        # corrupt-tail RNG draws must keep their per-load cadence.
         self._pf_skip = (
             type(prefetcher).observe is Prefetcher.observe
             and not prefetcher.uses_magic
@@ -366,7 +364,7 @@ class SM:
                 self._warp_size, self._line_bytes,
             )
         if not self._pf_skip:
-            self._feed_prefetcher(warp, instr, lines[0])
+            self._feed_prefetcher(warp, instr)
         self._issue_mem_lines(warp, lines)
 
     def _issue_mem_lines(self, warp: WarpState, lines: List[int]) -> None:
@@ -433,9 +431,7 @@ class SM:
     # ------------------------------------------------------------------
     # Prefetcher hook
 
-    def _feed_prefetcher(
-        self, warp: WarpState, instr: WarpInstr, line_addr: int
-    ) -> None:
+    def _feed_prefetcher(self, warp: WarpState, instr: WarpInstr) -> None:
         app_id = self._cta_app.get(warp.cta_id, 0)
         utilization: Optional[float] = None
         if self._pf_has_depth_limit:
@@ -453,27 +449,10 @@ class SM:
             # the tables are consulted — predictions may go wrong, demand
             # correctness cannot.
             self._faults.corrupt_tail(self.prefetcher, self.now, self.sm_id)
-        observe_raw = self._pf_observe_raw
-        if observe_raw is not None:
-            pairs = observe_raw(
-                warp.warp_id, instr.pc, instr.base_addr, app_id,
-                instr.divergent, self.now,
-            )
-        else:
-            pairs = [
-                (request.base_addr, request.depth)
-                for request in self.prefetcher.observe(AccessEvent(
-                    warp_id=warp.warp_id,
-                    cta_id=warp.cta_id,
-                    pc=instr.pc,
-                    base_addr=instr.base_addr,
-                    line_addr=line_addr,
-                    now=self.now,
-                    thread_stride=instr.thread_stride,
-                    divergent=instr.divergent,
-                    app_id=app_id,
-                ))
-            ]
+        pairs = self._pf_observe(
+            warp.warp_id, instr.pc, instr.base_addr, app_id,
+            instr.divergent, self.now, warp.cta_id,
+        )
         if not pairs:
             return
         self.l1.prefetcher_trained = self.prefetcher.trained

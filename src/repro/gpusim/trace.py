@@ -51,9 +51,10 @@ _setattr = object.__setattr__
 class WarpInstr:
     """One warp-wide instruction.
 
-    ``base_addr``/``thread_stride`` are only meaningful for LOAD/STORE: thread
-    *i* of the warp accesses ``base_addr + i * thread_stride``.  Make
-    ALU/SFU/BARRIER instructions through :class:`PlainInstrs`.
+    ``base_addr``/``thread_stride``/``size_bytes``/``divergent`` belong to
+    LOAD/STORE only: thread *i* of the warp accesses ``base_addr + i *
+    thread_stride``.  An ALU/SFU/BARRIER instruction given any of them
+    raises ``ValueError``; make those through :class:`PlainInstrs`.
     """
 
     pc: int
@@ -70,8 +71,15 @@ class WarpInstr:
                  divergent: bool = False) -> None:
         if pc < 0:
             raise ValueError("pc must be non-negative")
-        if base_addr < 0 and op in _MEM_OPS:
-            raise ValueError("memory instruction needs a non-negative address")
+        if op in _MEM_OPS:
+            if base_addr < 0:
+                raise ValueError(
+                    "memory instruction needs a non-negative address"
+                )
+        elif base_addr or thread_stride or size_bytes != 4 or divergent:
+            # The trace format stores none of these for an address-free
+            # op, so such a value could not round-trip.
+            raise ValueError("%s instruction takes no memory operands" % op.name)
         _setattr(self, "pc", pc)
         _setattr(self, "op", op)
         _setattr(self, "base_addr", base_addr)

@@ -10,15 +10,14 @@ exact ablation the paper ran.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable
 
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.unified_cache import StorageMode
 
 from .base import (
-    AccessEvent,
+    CompositePrefetcher,
     Prefetcher,
-    PrefetchRequest,
     available,
     create,
     register,
@@ -31,34 +30,6 @@ from .inter_warp import InterWarpPrefetcher
 from .intra_warp import IntraWarpPrefetcher
 from .mta import MTAPrefetcher
 from .tree import TreePrefetcher
-
-
-class CompositePrefetcher(Prefetcher):
-    """Union of several mechanisms (used for Snake+CTA)."""
-
-    name = "composite"
-
-    def __init__(self, parts: List[Prefetcher]) -> None:
-        if not parts:
-            raise ValueError("composite needs at least one part")
-        self.parts = parts
-
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
-        seen = set()
-        unique: List[PrefetchRequest] = []
-        for part in self.parts:
-            for request in part.observe(event):
-                if request.base_addr not in seen:
-                    seen.add(request.base_addr)
-                    unique.append(request)
-        return unique
-
-    @property
-    def trained(self) -> bool:
-        return any(part.trained for part in self.parts)
-
-    def table_accesses(self) -> int:
-        return sum(part.table_accesses() for part in self.parts)
 
 
 @dataclass(frozen=True)
@@ -107,6 +78,8 @@ def build_setup(
 
     if name == "cta":
         kwargs.setdefault("cta_step", config.num_sms)
+    if name in ("tree", "bingo", "domino"):
+        kwargs.setdefault("line_bytes", config.l1.line_bytes)
     if name in (
         "none", "intra", "inter", "mta", "cta", "tree", "ideal",
         "domino", "bingo",
@@ -182,7 +155,6 @@ COMPARISON_POINTS = [
 ]
 
 __all__ = [
-    "AccessEvent",
     "BingoPrefetcher",
     "COMPARISON_POINTS",
     "DominoPrefetcher",
@@ -194,7 +166,6 @@ __all__ = [
     "MTAPrefetcher",
     "MachineSetup",
     "Prefetcher",
-    "PrefetchRequest",
     "TreePrefetcher",
     "available",
     "build_setup",

@@ -1,11 +1,13 @@
 """Prefetcher interface.
 
 A prefetcher lives next to an SM's L1.  The SM calls :meth:`Prefetcher.observe`
-with an :class:`AccessEvent` each time a warp issues a demand load (before the
-access is serviced) and gets back a list of :class:`PrefetchRequest` — *base*
-(first-thread) addresses to prefetch.  The SM expands each base address into
-cache lines using the triggering instruction's thread stride, checks the
-throttle, and pushes the lines into the L1's prefetch path.
+with the load's fields as plain ints each time a warp issues a demand load
+(before the access is serviced) and gets back a list of ``(base_addr, depth)``
+pairs: *base* (first-thread) addresses to prefetch, each with its chain
+distance (>= 1) from the triggering access.  No pair has a negative address.
+The SM expands each base address into cache lines using the triggering
+instruction's thread stride, checks the throttle, and pushes the lines into
+the L1's prefetch path.
 
 Prefetchers that model the paper's Ideal oracle set ``uses_magic`` so the SM
 routes their requests to the zero-latency, infinite-capacity magic fill path.
@@ -13,39 +15,9 @@ routes their requests to the zero-latency, infinite-capacity magic fill path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.obs.events import NULL_BUS
-
-
-@dataclass(frozen=True, slots=True)
-class AccessEvent:
-    """One warp-level demand load as seen by the prefetcher."""
-
-    warp_id: int
-    cta_id: int
-    pc: int
-    base_addr: int
-    line_addr: int
-    now: int
-    thread_stride: int = 0
-    divergent: bool = False
-    app_id: int = 0  # which concurrently-running application issued this
-
-
-@dataclass(frozen=True, slots=True)
-class PrefetchRequest:
-    """A predicted future warp-level access (base address of thread 0)."""
-
-    base_addr: int
-    depth: int = 1  # chain distance from the triggering access
-
-    def __post_init__(self) -> None:
-        if self.base_addr < 0:
-            raise ValueError("prefetch address must be non-negative")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
 
 
 class Prefetcher:
@@ -59,8 +31,15 @@ class Prefetcher:
     obs = NULL_BUS
     obs_sm_id = -1
 
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
-        """Digest a demand access; return addresses to prefetch."""
+    def observe(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
+    ) -> List[Tuple[int, int]]:
+        """Digest one warp-level demand load; return its ``(base_addr,
+        depth)`` prefetch pairs.  ``app_id`` names the concurrently running
+        application that issued it, ``divergent`` marks a load whose threads
+        share no uniform stride, ``now`` is the issue cycle and ``cta_id``
+        the issuing CTA."""
         return []
 
     @property
@@ -72,6 +51,51 @@ class Prefetcher:
     def table_accesses(self) -> int:
         """Metadata-table lookups performed so far (energy accounting)."""
         return 0
+
+
+class CompositePrefetcher(Prefetcher):
+    """Union of several mechanisms: each access is shown to every part in
+    order, and the first pair seen for a base address wins."""
+
+    name = "composite"
+
+    def __init__(self, parts: List[Prefetcher]) -> None:
+        if not parts:
+            raise ValueError("composite needs at least one part")
+        self.parts = parts
+
+    def observe(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
+    ) -> List[Tuple[int, int]]:
+        seen = set()
+        unique: List[Tuple[int, int]] = []
+        for part in self.parts:
+            for pair in part.observe(
+                warp_id, pc, base_addr, app_id, divergent, now, cta_id
+            ):
+                if pair[0] not in seen:
+                    seen.add(pair[0])
+                    unique.append(pair)
+        return unique
+
+    def tables(self) -> List[Tuple[int, Any, Any]]:
+        """Every part's ``(app_id, head, tail)`` tables, in part order, so
+        the sanitizer and the fault injector reach a Snake inside the
+        union."""
+        rows: List[Tuple[int, Any, Any]] = []
+        for part in self.parts:
+            tables = getattr(part, "tables", None)
+            if tables is not None:
+                rows.extend(tables())
+        return rows
+
+    @property
+    def trained(self) -> bool:
+        return any(part.trained for part in self.parts)
+
+    def table_accesses(self) -> int:
+        return sum(part.table_accesses() for part in self.parts)
 
 
 _REGISTRY: Dict[str, Callable[..., Prefetcher]] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .base import AccessEvent, Prefetcher, PrefetchRequest, register
+from .base import Prefetcher, register
 
 
 @register("bingo")
@@ -38,38 +38,44 @@ class BingoPrefetcher(Prefetcher):
     def _offset_of(self, addr: int) -> int:
         return (addr % self.region_bytes) // self.line_bytes
 
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
+    def observe(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
+    ) -> List[Tuple[int, int]]:
         self._accesses += 1
-        addr = event.line_addr
-        region = self._region_of(addr)
-        offset = self._offset_of(addr)
+        # Region and line offset floor the address, so the trigger's line
+        # and its first thread's address name the same footprint bit.
+        region = self._region_of(base_addr)
+        offset = self._offset_of(base_addr)
 
         if region in self._active:
-            pc, trigger_offset, footprint = self._active[region]
-            self._active[region] = (pc, trigger_offset, footprint | (1 << offset))
+            trigger_pc, trigger_offset, footprint = self._active[region]
+            self._active[region] = (
+                trigger_pc, trigger_offset, footprint | (1 << offset)
+            )
             return []
 
         # New region generation: retire the oldest if at capacity.
         if len(self._active) >= self.max_regions:
-            old_region, (pc, trigger_offset, footprint) = next(
+            old_region, (trigger_pc, trigger_offset, footprint) = next(
                 iter(self._active.items())
             )
             del self._active[old_region]
-            self._long[(pc, old_region)] = footprint
-            self._short[(pc, trigger_offset)] = footprint
-        self._active[region] = (event.pc, offset, 1 << offset)
+            self._long[(trigger_pc, old_region)] = footprint
+            self._short[(trigger_pc, trigger_offset)] = footprint
+        self._active[region] = (pc, offset, 1 << offset)
 
         # Predict from history: long event first, then short event.
-        footprint = self._long.get((event.pc, region))
+        footprint = self._long.get((pc, region))
         if footprint is None:
-            footprint = self._short.get((event.pc, offset))
+            footprint = self._short.get((pc, offset))
         if footprint is None:
             return []
 
         base = region * self.region_bytes
         lines_per_region = self.region_bytes // self.line_bytes
         return [
-            PrefetchRequest(base_addr=base + i * self.line_bytes, depth=1)
+            (base + i * self.line_bytes, 1)
             for i in range(lines_per_region)
             if footprint >> i & 1 and i != offset
         ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .base import AccessEvent, Prefetcher, PrefetchRequest, register
+from .base import Prefetcher, register
 from .stride import ConsensusTracker
 
 
@@ -34,32 +34,35 @@ class CTAAwarePrefetcher(Prefetcher):
         self.train_threshold = train_threshold
         self._accesses = 0
 
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
+    def observe(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
+    ) -> List[Tuple[int, int]]:
         self._accesses += 1
-        history = self._base.setdefault(event.pc, {})
-        if event.cta_id not in history:
-            history[event.cta_id] = event.base_addr
+        history = self._base.setdefault(pc, {})
+        if cta_id not in history:
+            history[cta_id] = base_addr
             tracker = self._consensus.setdefault(
-                event.pc, ConsensusTracker(threshold=self.train_threshold)
+                pc, ConsensusTracker(threshold=self.train_threshold)
             )
             # CTAs are distributed over SMs, so the previous CTA this SM saw
             # may be several ids back; normalize the delta by the id gap.
-            lower = [c for c in history if c < event.cta_id]
+            lower = [c for c in history if c < cta_id]
             if lower:
                 nearest = max(lower)
-                gap = event.cta_id - nearest
-                delta = event.base_addr - history[nearest]
+                gap = cta_id - nearest
+                delta = base_addr - history[nearest]
                 if delta % gap == 0:
-                    tracker.vote(event.cta_id, delta // gap)
+                    tracker.vote(cta_id, delta // gap)
 
-        tracker = self._consensus.get(event.pc)
+        tracker = self._consensus.get(pc)
         if tracker is None or tracker.trained_stride is None:
             return []
         stride = tracker.trained_stride * self.cta_step
         return [
-            PrefetchRequest(base_addr=event.base_addr + k * stride, depth=k)
+            (base_addr + k * stride, k)
             for k in range(1, self.degree + 1)
-            if event.base_addr + k * stride >= 0
+            if base_addr + k * stride >= 0
         ]
 
     def table_accesses(self) -> int:

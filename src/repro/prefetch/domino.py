@@ -13,27 +13,34 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .base import AccessEvent, Prefetcher, PrefetchRequest, register
+from repro.gpusim.coalescer import line_of
+
+from .base import Prefetcher, register
 
 
 @register("domino")
 class DominoPrefetcher(Prefetcher):
     """Temporal next-address prefetching over the global access stream."""
 
-    def __init__(self, history_size: int = 4096, degree: int = 4) -> None:
+    def __init__(self, history_size: int = 4096, degree: int = 4,
+                 line_bytes: int = 128) -> None:
         if history_size < 2 or degree < 1:
             raise ValueError("history_size >= 2 and degree >= 1 required")
         self.history_size = history_size
         self.degree = degree
+        self.line_bytes = line_bytes
         self._history: List[int] = []
         # Domino's two index tables: last address, and (previous, last) pair.
         self._index1: Dict[int, int] = {}
         self._index2: Dict[Tuple[int, int], int] = {}
         self._accesses = 0
 
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
+    def observe(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
+    ) -> List[Tuple[int, int]]:
         self._accesses += 1
-        addr = event.line_addr
+        addr = line_of(base_addr, self.line_bytes)
 
         # Predict: prefer the two-address (higher-confidence) index.
         position = None
@@ -43,11 +50,11 @@ class DominoPrefetcher(Prefetcher):
         if position is None:
             position = self._index1.get(addr)
 
-        requests: List[PrefetchRequest] = []
+        requests: List[Tuple[int, int]] = []
         if position is not None:
             successors = self._history[position + 1: position + 1 + self.degree]
             requests = [
-                PrefetchRequest(base_addr=successor, depth=i + 1)
+                (successor, i + 1)
                 for i, successor in enumerate(successors)
                 if successor >= 0
             ]

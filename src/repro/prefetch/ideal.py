@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from .base import AccessEvent, Prefetcher, PrefetchRequest, register
+from .base import Prefetcher, register
 
 
 @register("ideal")
@@ -30,24 +30,27 @@ class IdealPrefetcher(Prefetcher):
         self._last: Dict[int, Tuple[int, int]] = {}  # warp -> (pc, addr)
         self._accesses = 0
 
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
+    def observe(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
+    ) -> List[Tuple[int, int]]:
         self._accesses += 1
-        last = self._last.get(event.warp_id)
+        last = self._last.get(warp_id)
         if last is not None:
             last_pc, last_addr = last
             self._outgoing.setdefault(last_pc, set()).add(
-                (event.pc, event.base_addr - last_addr)
+                (pc, base_addr - last_addr)
             )
-        self._last[event.warp_id] = (event.pc, event.base_addr)
+        self._last[warp_id] = (pc, base_addr)
 
-        transitions = self._outgoing.get(event.pc)
+        transitions = self._outgoing.get(pc)
         if not transitions:
             return []
-        requests: List[PrefetchRequest] = []
+        requests: List[Tuple[int, int]] = []
         for _, stride in sorted(transitions)[: self.max_fanout]:
-            target = event.base_addr + stride
+            target = base_addr + stride
             if target >= 0:
-                requests.append(PrefetchRequest(base_addr=target))
+                requests.append((target, 1))
         return requests
 
     def table_accesses(self) -> int:

@@ -10,9 +10,9 @@ timing model (covered-but-not-timely accesses).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from .base import AccessEvent, Prefetcher, PrefetchRequest, register
+from .base import Prefetcher, register
 from .stride import ConsensusTracker
 
 
@@ -29,30 +29,33 @@ class InterWarpPrefetcher(Prefetcher):
         self._consensus: Dict[int, ConsensusTracker] = {}
         self._accesses = 0
 
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
+    def observe(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
+    ) -> List[Tuple[int, int]]:
         self._accesses += 1
-        history = self._last_by_pc.setdefault(event.pc, {})
+        history = self._last_by_pc.setdefault(pc, {})
         tracker = self._consensus.setdefault(
-            event.pc, ConsensusTracker(threshold=self.train_threshold)
+            pc, ConsensusTracker(threshold=self.train_threshold)
         )
 
         # Vote using the nearest lower warp that already executed this PC.
-        lower = [w for w in history if w < event.warp_id]
+        lower = [w for w in history if w < warp_id]
         if lower:
             nearest = max(lower)
-            gap = event.warp_id - nearest
-            delta = event.base_addr - history[nearest]
+            gap = warp_id - nearest
+            delta = base_addr - history[nearest]
             if delta % gap == 0:
-                tracker.vote(event.warp_id, delta // gap)
-        history[event.warp_id] = event.base_addr
+                tracker.vote(warp_id, delta // gap)
+        history[warp_id] = base_addr
 
         stride = tracker.trained_stride
         if stride is None:
             return []
         return [
-            PrefetchRequest(base_addr=event.base_addr + k * stride, depth=k)
+            (base_addr + k * stride, k)
             for k in range(1, self.degree + 1)
-            if event.base_addr + k * stride >= 0
+            if base_addr + k * stride >= 0
         ]
 
     def table_accesses(self) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .base import AccessEvent, Prefetcher, PrefetchRequest, register
+from .base import Prefetcher, register
 from .stride import StrideTracker
 
 
@@ -24,17 +24,20 @@ class IntraWarpPrefetcher(Prefetcher):
         self._trackers: Dict[Tuple[int, int], StrideTracker] = {}
         self._accesses = 0
 
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
+    def observe(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
+    ) -> List[Tuple[int, int]]:
         self._accesses += 1
-        key = (event.warp_id, event.pc)
+        key = (warp_id, pc)
         tracker = self._trackers.setdefault(key, StrideTracker())
-        stride = tracker.update(event.base_addr)
+        stride = tracker.update(base_addr)
         if stride is None:
             return []
         return [
-            PrefetchRequest(base_addr=event.base_addr + k * stride, depth=k)
+            (base_addr + k * stride, k)
             for k in range(1, self.degree + 1)
-            if event.base_addr + k * stride >= 0
+            if base_addr + k * stride >= 0
         ]
 
     def table_accesses(self) -> int:

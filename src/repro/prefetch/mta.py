@@ -1,37 +1,23 @@
 """Many-Thread-Aware prefetcher (MTA; Lee et al. [29]).
 
 The paper's strongest-coverage prior: the union of the intra-warp and
-inter-warp mechanisms.  Requests are merged and de-duplicated per trigger.
+inter-warp mechanisms.  Requests are merged and de-duplicated per trigger
+by :class:`CompositePrefetcher`, intra-warp first.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from .base import AccessEvent, Prefetcher, PrefetchRequest, register
+from .base import CompositePrefetcher, register
 from .inter_warp import InterWarpPrefetcher
 from .intra_warp import IntraWarpPrefetcher
 
 
 @register("mta")
-class MTAPrefetcher(Prefetcher):
+class MTAPrefetcher(CompositePrefetcher):
     """Intra-warp + inter-warp combined."""
 
     def __init__(self, degree: int = 2, train_threshold: int = 3) -> None:
-        self._intra = IntraWarpPrefetcher(degree=degree)
-        self._inter = InterWarpPrefetcher(
-            degree=degree, train_threshold=train_threshold
-        )
-
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
-        requests = self._intra.observe(event) + self._inter.observe(event)
-        seen = set()
-        unique: List[PrefetchRequest] = []
-        for request in requests:
-            if request.base_addr not in seen:
-                seen.add(request.base_addr)
-                unique.append(request)
-        return unique
-
-    def table_accesses(self) -> int:
-        return self._intra.table_accesses() + self._inter.table_accesses()
+        super().__init__([
+            IntraWarpPrefetcher(degree=degree),
+            InterWarpPrefetcher(degree=degree, train_threshold=train_threshold),
+        ])

@@ -11,9 +11,9 @@ makes Tree polluting in Figs 16-18.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from .base import AccessEvent, Prefetcher, PrefetchRequest, register
+from .base import Prefetcher, register
 
 CHUNK_BYTES = 64 * 1024
 
@@ -30,23 +30,23 @@ class TreePrefetcher(Prefetcher):
         self._cursor: Dict[int, int] = {}  # chunk id -> next line offset
         self._accesses = 0
 
-    def observe(self, event: AccessEvent) -> List[PrefetchRequest]:
+    def observe(
+        self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
+    ) -> List[Tuple[int, int]]:
         self._accesses += 1
-        chunk = event.base_addr // CHUNK_BYTES
+        chunk = base_addr // CHUNK_BYTES
         chunk_base = chunk * CHUNK_BYTES
         cursor = self._cursor.get(
-            chunk, (event.base_addr - chunk_base) // self.line_bytes + 1
+            chunk, (base_addr - chunk_base) // self.line_bytes + 1
         )
         lines_per_chunk = CHUNK_BYTES // self.line_bytes
-        requests: List[PrefetchRequest] = []
+        requests: List[Tuple[int, int]] = []
         for _ in range(self.burst):
             if cursor >= lines_per_chunk:
                 break
             requests.append(
-                PrefetchRequest(
-                    base_addr=chunk_base + cursor * self.line_bytes,
-                    depth=len(requests) + 1,
-                )
+                (chunk_base + cursor * self.line_bytes, len(requests) + 1)
             )
             cursor += 1
         self._cursor[chunk] = cursor

@@ -1,7 +1,7 @@
 """repro.serve: a crash-recoverable online prefetch-prediction service.
 
 The package turns the offline Snake reproduction into an online service
-that ingests ``AccessEvent``-shaped trace streams and answers prefetch
+that ingests per-load ``(warp, pc, addr, app)`` records and answers prefetch
 prediction queries, engineered for the failure modes an online system
 actually meets:
 

@@ -78,7 +78,7 @@ def peek_predictions(learner: SnakePrefetcher, warp: int, pc: int,
                      addr: int, app: int = 0, now: int = 0) -> List[int]:
     """Read-only prediction from a Snake learner.
 
-    Runs :meth:`SnakePrefetcher.observe_raw`'s generation body
+    Runs :meth:`SnakePrefetcher.observe`'s generation body
     (``_generate_raw``: chains, intra-warp, inter-warp, chain-first dedup)
     without the training before it, on the ``(app, pc)`` consensus
     tracker looked up here.  The Tail CAM's lookup counter is restored
@@ -384,7 +384,7 @@ class ServiceState:
             learner = session.shards[shard_index]
             learner_predictions = [
                 target for target, _ in
-                learner.observe_raw(warp, pc, addr, app, False, self.seq)
+                learner.observe(warp, pc, addr, app, False, self.seq)
             ]
             if session.applied % self.config.audit_every == 0:
                 violations: List[str] = []

@@ -6,9 +6,9 @@ when no address repeats.  The prediction functions
 below are the original shape it must match exactly: one
 ``TailTable.find`` (one ``lookups`` tick) per fan-out and per hop, the
 best-confirmed link picked by a ``(has this warp, popcount)`` key, and
-``PrefetchRequest`` objects throughout.
+a first-seen deduplication pass over every ``(base_addr, depth)`` pair.
 
-``SnakePrefetcher.observe_raw`` trains and predicts in one body that
+``SnakePrefetcher.observe`` trains and predicts in one body that
 looks each ``(app, pc)`` consensus tracker up once per access and hands
 it to generation; it and the Tail table's ``record_intra`` /
 ``record_inter_warp`` scan CAM buckets in place, advance the LRU tick
@@ -37,7 +37,6 @@ from repro.core.head_table import HeadTable
 from repro.core.snake import SnakePrefetcher
 from repro.core.tail_table import TailEntry, TailTable, TrainState
 from repro.obs.events import ChainWalkEvent
-from repro.prefetch.base import AccessEvent, PrefetchRequest
 from repro.prefetch.stride import ConsensusTracker
 
 
@@ -143,7 +142,7 @@ def detect(
     learner: SnakePrefetcher, warp_id: int, pc: int, base_addr: int,
     app_id: int,
 ) -> None:
-    """The training half of ``SnakePrefetcher.observe_raw`` with a
+    """The training half of ``SnakePrefetcher.observe`` with a
     throwaway slot list and ``ConsensusTracker`` per ``setdefault`` and
     the reference Tail updates above."""
     tail = learner.tail
@@ -197,8 +196,8 @@ def prefetchable_link(
 
 
 def chain_requests(
-    learner: SnakePrefetcher, event: AccessEvent
-) -> List[PrefetchRequest]:
+    learner: SnakePrefetcher, warp_id: int, pc: int, base_addr: int
+) -> List[Tuple[int, int]]:
     """Walk the chain starting at the current PC (Fig 13).
 
     Different warp groups may have confirmed *different* strides for the
@@ -207,49 +206,47 @@ def chain_requests(
     issues a depth-1 request; the walk then continues transitively along
     the best-confirmed link only.
     """
-    requests: List[PrefetchRequest] = []
-    for entry in learner.tail.find(event.pc):
+    requests: List[Tuple[int, int]] = []
+    for entry in learner.tail.find(pc):
         if not entry.t1.prefetchable:
             continue
-        target = event.base_addr + entry.inter_thread_stride
+        target = base_addr + entry.inter_thread_stride
         if target >= 0:
-            requests.append(PrefetchRequest(base_addr=target, depth=1))
+            requests.append((target, 1))
 
-    pc, addr = event.pc, event.base_addr
+    addr = base_addr
     visited = set()
     effective_depth = min(learner.max_chain_depth, learner._depth_limit)
     for depth in range(1, effective_depth + 1):
-        entry = prefetchable_link(learner, pc, event.warp_id)
+        entry = prefetchable_link(learner, pc, warp_id)
         if entry is None or (entry.pc1, entry.pc2) in visited:
             break
         visited.add((entry.pc1, entry.pc2))
         addr = addr + entry.inter_thread_stride
         if addr < 0:
             break
-        requests.append(PrefetchRequest(base_addr=addr, depth=depth))
+        requests.append((addr, depth))
         pc = entry.pc2
     return requests
 
 
 def intra_requests(
-    learner: SnakePrefetcher, event: AccessEvent
-) -> List[PrefetchRequest]:
-    for entry in learner.tail.find(event.pc):
+    learner: SnakePrefetcher, pc: int, base_addr: int
+) -> List[Tuple[int, int]]:
+    for entry in learner.tail.find(pc):
         if entry.t2.prefetchable and entry.intra_stride:
             return [
-                PrefetchRequest(
-                    base_addr=event.base_addr + k * entry.intra_stride, depth=k
-                )
+                (base_addr + k * entry.intra_stride, k)
                 for k in range(1, learner.intra_degree + 1)
-                if event.base_addr + k * entry.intra_stride >= 0
+                if base_addr + k * entry.intra_stride >= 0
             ]
     return []
 
 
 def inter_warp_requests(
-    learner: SnakePrefetcher, event: AccessEvent,
+    learner: SnakePrefetcher, base_addr: int,
     tracker: Optional[ConsensusTracker],
-) -> List[PrefetchRequest]:
+) -> List[Tuple[int, int]]:
     """Inter-warp requests from the access's ``(app, pc)`` consensus
     tracker (None when it has none)."""
     if tracker is None or tracker.trained_stride is None:
@@ -257,41 +254,42 @@ def inter_warp_requests(
     stride = tracker.trained_stride
     requests = []
     for k in range(1, learner.inter_warp_degree + 1):
-        target = event.base_addr + k * stride
+        target = base_addr + k * stride
         if target >= 0:
-            requests.append(PrefetchRequest(base_addr=target, depth=k))
+            requests.append((target, k))
     return requests
 
 
 def generate(
-    learner: SnakePrefetcher, event: AccessEvent,
-    tracker: Optional[ConsensusTracker],
-) -> List[PrefetchRequest]:
-    """Deduplicated requests for one (already trained-on) access: chains
-    first (higher accuracy, §3.4), then intra-warp, then inter-warp from
-    ``tracker``, with the learner's ``ChainWalkEvent`` telemetry."""
-    requests: List[PrefetchRequest] = []
+    learner: SnakePrefetcher, warp_id: int, pc: int, base_addr: int,
+    tracker: Optional[ConsensusTracker], now: int = 0,
+) -> List[Tuple[int, int]]:
+    """Deduplicated ``(base_addr, depth)`` requests for one (already
+    trained-on) access: chains first (higher accuracy, §3.4), then
+    intra-warp, then inter-warp from ``tracker``, with the learner's
+    ``ChainWalkEvent`` telemetry."""
+    requests: List[Tuple[int, int]] = []
     if learner.use_chains:
-        requests.extend(chain_requests(learner, event))
+        requests.extend(chain_requests(learner, warp_id, pc, base_addr))
     if learner.use_intra:
-        requests.extend(intra_requests(learner, event))
+        requests.extend(intra_requests(learner, pc, base_addr))
     if learner.use_inter_warp:
-        requests.extend(inter_warp_requests(learner, event, tracker))
+        requests.extend(inter_warp_requests(learner, base_addr, tracker))
 
     seen = set()
-    unique: List[PrefetchRequest] = []
+    unique: List[Tuple[int, int]] = []
     for request in requests:
-        if request.base_addr not in seen:
-            seen.add(request.base_addr)
+        if request[0] not in seen:
+            seen.add(request[0])
             unique.append(request)
     if unique and learner.obs.enabled:
         learner.obs.emit(
             ChainWalkEvent(
-                cycle=event.now,
+                cycle=now,
                 sm_id=learner.obs_sm_id,
-                warp_id=event.warp_id,
-                pc=event.pc,
-                depth=max(r.depth for r in unique),
+                warp_id=warp_id,
+                pc=pc,
+                depth=max(depth for _, depth in unique),
                 requests=len(unique),
             )
         )
@@ -310,13 +308,13 @@ def peek(
     learner._select_app(app_id)
     saved = learner.tail.lookups
     try:
-        requests = generate(learner, AccessEvent(
-            warp_id=warp_id, cta_id=0, pc=pc, base_addr=base_addr,
-            line_addr=base_addr, now=0, app_id=app_id,
-        ), learner._iw_consensus.get((app_id, pc)))
+        requests = generate(
+            learner, warp_id, pc, base_addr,
+            learner._iw_consensus.get((app_id, pc)),
+        )
     finally:
         learner.tail.lookups = saved
-    return [r.base_addr for r in requests]
+    return [addr for addr, _ in requests]
 
 
 class ReferenceSnake(SnakePrefetcher):
@@ -357,9 +355,9 @@ class ReferenceSnake(SnakePrefetcher):
         learner.head, learner.tail = learner._app_tables[0]
         return learner
 
-    def observe_raw(
+    def observe(
         self, warp_id: int, pc: int, base_addr: int, app_id: int = 0,
-        divergent: bool = False, now: int = 0,
+        divergent: bool = False, now: int = 0, cta_id: int = 0,
     ) -> List[Tuple[int, int]]:
         """Training through :func:`detect`, then generation through
         :meth:`_generate_raw` on the consensus tracker looked up anew."""
@@ -377,19 +375,13 @@ class ReferenceSnake(SnakePrefetcher):
         self, warp_id: int, pc: int, base_addr: int,
         tracker: Optional[ConsensusTracker], now: int,
     ) -> List[Tuple[int, int]]:
-        return [
-            (r.base_addr, r.depth)
-            for r in generate(self, AccessEvent(
-                warp_id=warp_id, cta_id=0, pc=pc, base_addr=base_addr,
-                line_addr=base_addr, now=now,
-            ), tracker)
-        ]
+        return generate(self, warp_id, pc, base_addr, tracker, now)
 
 
 def install(monkeypatch) -> Counter:
     """Make every Snake learner in the test train through :func:`detect`
     into :class:`ReferenceTailTable` tables and predict through
-    :func:`generate`, in :meth:`ReferenceSnake.observe_raw` and in the
+    :func:`generate`, in :meth:`ReferenceSnake.observe` and in the
     generation entry point a serve ``predict`` reads through.  Returns a
     counter of the ``"detect"`` and ``"generate"`` calls that reached
     them, so a test can show the references really ran."""
@@ -397,16 +389,16 @@ def install(monkeypatch) -> Counter:
     monkeypatch.setattr(snake_module, "TailTable", ReferenceTailTable)
 
     def counted_observe(learner, warp_id, pc, base_addr, app_id=0,
-                        divergent=False, now=0):
+                        divergent=False, now=0, cta_id=0):
         reached["detect"] += not divergent
-        return ReferenceSnake.observe_raw(
-            learner, warp_id, pc, base_addr, app_id, divergent, now,
+        return ReferenceSnake.observe(
+            learner, warp_id, pc, base_addr, app_id, divergent, now, cta_id,
         )
 
     def counted_generate(learner, *args):
         reached["generate"] += 1
         return ReferenceSnake._generate_raw(learner, *args)
 
-    monkeypatch.setattr(SnakePrefetcher, "observe_raw", counted_observe)
+    monkeypatch.setattr(SnakePrefetcher, "observe", counted_observe)
     monkeypatch.setattr(SnakePrefetcher, "_generate_raw", counted_generate)
     return reached

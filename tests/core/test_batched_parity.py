@@ -1,7 +1,7 @@
 """Property tests pinning the hot path to its naive references.
 
-The production lanes (Snake's one training-and-generation pass in
-``SnakePrefetcher.observe_raw``, the Tail table's in-place
+The production paths (Snake's one training-and-generation pass in
+``SnakePrefetcher.observe``, the Tail table's in-place
 ``record_intra``/``record_inter_warp`` with its counted votes and its
 eviction, ``TailTable.walk_raw`` under ``SnakePrefetcher._generate_raw``,
 and the SM/L1 ``prefetch_trigger`` issue path) are
@@ -28,7 +28,6 @@ from repro.core.tail_table import TrainState
 from repro.gpusim import GPUConfig, simulate
 from repro.gpusim.sm import SM
 from repro.gpusim.trace import CTA, KernelTrace, Op, WarpInstr, WarpTrace, renumber_warps
-from repro.prefetch.base import AccessEvent
 from repro.serve.state import peek_predictions
 
 from ..gpusim import reference_issue
@@ -37,7 +36,8 @@ from .reference_snake import ReferenceSnake
 
 
 def _stream(seed, length, pcs, warps, chain_shape):
-    """A deterministic access-event stream.
+    """A deterministic stream of ``(warp, pc, addr, app, divergent, now)``
+    access records.
 
     ``chain_shape`` picks the pc ordering: ``loop`` sweeps pcs cyclically
     per warp (stable chains), ``churn`` picks pcs at random (constant
@@ -73,10 +73,8 @@ def _stream(seed, length, pcs, warps, chain_shape):
         if chain_shape == "shift" and 2 * k >= length:
             stride += 32 * (1 + warp % 3)
         cursors[key] = addr + stride
-        events.append(AccessEvent(
-            warp_id=warp, cta_id=0, pc=pc, base_addr=addr, line_addr=addr,
-            now=k,
-            divergent=chain_shape == "mixed" and rng.random() < 0.1,
+        events.append((
+            warp, pc, addr, 0, chain_shape == "mixed" and rng.random() < 0.1, k,
         ))
     return events
 
@@ -96,10 +94,7 @@ def _tree_stream(rng, length, warps):
         else:
             pc = child_pc
             addr = 0x4000 + 256 * node + 32 * (1 + node * (warp + 1) % 40)
-        events.append(AccessEvent(
-            warp_id=warp, cta_id=0, pc=pc, base_addr=addr, line_addr=addr,
-            now=k,
-        ))
+        events.append((warp, pc, addr, 0, False, k))
     return events
 
 
@@ -140,9 +135,7 @@ class TestLearnerParity:
         events = _stream(*params)
         production, reference = _make_pair(tail_entries, depth)
         for event in events:
-            got = [(r.base_addr, r.depth) for r in production.observe(event)]
-            want = [(r.base_addr, r.depth) for r in reference.observe(event)]
-            assert got == want
+            assert production.observe(*event) == reference.observe(*event)
             assert _state(production) == _state(reference)
         assert production.tail.lookups == reference.tail.lookups
 
@@ -153,9 +146,7 @@ class TestLearnerParity:
         production, reference = _make_pair(16, 8)
         rival = inter_warp = False
         for event in _stream(7, 400, 4, 8, "shift"):
-            got = [(r.base_addr, r.depth) for r in production.observe(event)]
-            want = [(r.base_addr, r.depth) for r in reference.observe(event)]
-            assert got == want
+            assert production.observe(*event) == reference.observe(*event)
             assert _state(production) == _state(reference)
             entries = production.tail.entries()
             rival |= any(len(e._intra_votes) >= 2 for e in entries)
@@ -173,9 +164,7 @@ class TestLearnerParity:
         events = _stream(5, 600, 2, 8, "tree")
         widest = most_strides = 0
         for event in events:
-            got = [(r.base_addr, r.depth) for r in production.observe(event)]
-            want = [(r.base_addr, r.depth) for r in reference.observe(event)]
-            assert got == want
+            assert production.observe(*event) == reference.observe(*event)
             assert _state(production) == _state(reference)
             widest = max(widest, len(production.tail._pc_index.get(0x100, ())))
             most_strides = max(
@@ -186,21 +175,6 @@ class TestLearnerParity:
         assert production.tail.evictions > len(events) // 4
         assert most_strides >= 12
         assert widest >= (24 if tail_entries == 64 else tail_entries)
-
-    @settings(max_examples=25, deadline=None)
-    @given(params=STREAMS, tail_entries=st.integers(2, 24))
-    def test_observe_raw_matches_observe(self, params, tail_entries):
-        """The raw (base_addr, depth) lane is the boxed lane, unboxed."""
-        events = _stream(*params)
-        raw, reference = _make_pair(tail_entries, 8)
-        for event in events:
-            pairs = raw.observe_raw(
-                event.warp_id, event.pc, event.base_addr, event.app_id,
-                event.divergent, event.now,
-            )
-            want = [(r.base_addr, r.depth) for r in reference.observe(event)]
-            assert pairs == want
-            assert _state(raw) == _state(reference)
 
     @settings(max_examples=20, deadline=None)
     @given(params=STREAMS, tail_entries=st.integers(2, 20),
@@ -229,9 +203,7 @@ class TestLearnerParity:
                         entry.warp_vector = scrambled
                     else:
                         entry.t1 = TrainState.TRAINED
-            got = [(r.base_addr, r.depth) for r in production.observe(event)]
-            want = [(r.base_addr, r.depth) for r in reference.observe(event)]
-            assert got == want
+            assert production.observe(*event) == reference.observe(*event)
             assert _state(production) == _state(reference)
 
     @settings(max_examples=15, deadline=None)
@@ -240,7 +212,7 @@ class TestLearnerParity:
                                                         tail_entries):
         """snapshot -> restore -> snapshot is byte-stable for the
         CAM-indexed tables, and a restored learner continues the stream
-        exactly like the original (both lanes)."""
+        exactly like the original (both learners)."""
         events = _stream(*params)
         half = len(events) // 2
         for cls in (SnakePrefetcher, ReferenceSnake):
@@ -249,15 +221,12 @@ class TestLearnerParity:
                 train_threshold=2,
             )
             for event in events[:half]:
-                learner.observe(event)
+                learner.observe(*event)
             image = learner.snapshot()
             clone = cls.restore(image)
             assert clone.snapshot() == image
             for event in events[half:]:
-                got = [(r.base_addr, r.depth) for r in clone.observe(event)]
-                want = [(r.base_addr, r.depth)
-                        for r in learner.observe(event)]
-                assert got == want
+                assert clone.observe(*event) == learner.observe(*event)
             assert clone.snapshot() == learner.snapshot()
 
 
@@ -291,23 +260,21 @@ RAW_STREAMS = st.tuples(
 )
 
 
-class TestRawLaneParity:
+class TestRawStreamParity:
     @settings(max_examples=40, deadline=None)
     @given(params=RAW_STREAMS, tail_entries=st.integers(2, 20),
            per_app=st.booleans(), fault_seed=st.integers(0, 2**31))
-    def test_raw_lane_adapter_and_oracle_agree(self, params, tail_entries,
-                                               per_app, fault_seed):
-        """``observe_raw`` (the production lane), ``observe(event)`` (the
-        boxing adapter) and the reference learner: identical pairs,
-        ``lookups`` and snapshots — over divergent loads, per-app tables,
-        near-0 addresses, small-Tail eviction churn and in-field fault
-        corruption applied identically to all three."""
+    def test_production_and_oracle_agree(self, params, tail_entries,
+                                         per_app, fault_seed):
+        """Production ``observe`` and the reference learner: identical
+        pairs, ``lookups`` and snapshots — over divergent loads, per-app
+        tables, near-0 addresses, small-Tail eviction churn and in-field
+        fault corruption applied identically to both."""
         kwargs = dict(head_entries=6, tail_entries=tail_entries,
                       train_threshold=2, max_chain_depth=6, per_app=per_app)
         raw = SnakePrefetcher(**kwargs)
-        adapter = SnakePrefetcher(**kwargs)
         oracle = ReferenceSnake(**kwargs)
-        learners = (raw, adapter, oracle)
+        learners = (raw, oracle)
         rng = random.Random(fault_seed)
         for warp, pc, addr, app, divergent, now in _raw_stream(*params):
             if rng.random() < 0.05:
@@ -326,35 +293,22 @@ class TestRawLaneParity:
                             entry.warp_vector = scrambled
                         else:
                             entry.t1 = TrainState.TRAINED
-            event = AccessEvent(
-                warp_id=warp, cta_id=0, pc=pc, base_addr=addr,
-                line_addr=addr, now=now, divergent=divergent, app_id=app,
-            )
-            got = raw.observe_raw(warp, pc, addr, app, divergent, now)
-            boxed = [(r.base_addr, r.depth) for r in adapter.observe(event)]
-            want = [(r.base_addr, r.depth) for r in oracle.observe(event)]
-            assert got == boxed == want
+            got = raw.observe(warp, pc, addr, app, divergent, now)
+            want = oracle.observe(warp, pc, addr, app, divergent, now)
+            assert got == want
             assert all(target >= 0 for target, _ in got)
-            assert _state(raw) == _state(adapter) == _state(oracle)
+            assert _state(raw) == _state(oracle)
         lookups = [[t.lookups for _, _, t in l.tables()] for l in learners]
-        assert lookups[0] == lookups[1] == lookups[2]
-
-
-def _event_records(events):
-    """:func:`_stream` events as raw ``observe_raw`` records."""
-    return [
-        (e.warp_id, e.pc, e.base_addr, e.app_id, e.divergent, e.now)
-        for e in events
-    ]
+        assert lookups[0] == lookups[1]
 
 
 def _two_app_records(events):
-    """:func:`_event_records` with the warps split over two apps by
+    """:func:`_stream` records with the warps split over two apps by
     parity; app 1's warps sit twice as far apart, so its ``(app, pc)``
     consensus trackers train a different inter-warp stride from app 0's."""
     return [
         (w, pc, addr + (w * 0x1000 if w % 2 else 0), w % 2, divergent, now)
-        for w, pc, addr, _, divergent, now in _event_records(events)
+        for w, pc, addr, _, divergent, now in events
     ]
 
 
@@ -363,7 +317,7 @@ def _two_app_records(events):
 #: shapes (the ``shift`` shape trains inter-warp strides).
 ANY_RECORDS = st.one_of(
     RAW_STREAMS.map(lambda params: _raw_stream(*params)),
-    STREAMS.map(lambda params: _event_records(_stream(*params))),
+    STREAMS.map(lambda params: _stream(*params)),
 )
 
 FLAG_NAMES = ("use_chains", "use_intra", "use_inter_warp", "per_app")
@@ -374,7 +328,7 @@ class TestVariantFlagParity:
     generation pass (``use_inter_warp=False`` leaves generation with no
     consensus tracker; ``s-snake`` keeps only the chains).  Production
     and the reference must stay in lockstep under every combination,
-    through ``observe_raw`` and through the serve ``predict`` read."""
+    through ``observe`` and through the serve ``predict`` read."""
 
     @staticmethod
     def _lockstep(flags, records, tail_entries, depth, depth_limit):
@@ -385,8 +339,8 @@ class TestVariantFlagParity:
             learner.set_depth_limit(depth_limit)
         chained = False
         for warp, pc, addr, app, divergent, now in records:
-            got = production.observe_raw(warp, pc, addr, app, divergent, now)
-            want = reference.observe_raw(warp, pc, addr, app, divergent, now)
+            got = production.observe(warp, pc, addr, app, divergent, now)
+            want = reference.observe(warp, pc, addr, app, divergent, now)
             assert got == want
             assert _state(production) == _state(reference)
             assert peek_predictions(production, warp, pc, addr, app) == \
@@ -400,7 +354,7 @@ class TestVariantFlagParity:
            depth=st.integers(1, 10), depth_limit=st.integers(0, 12),
            flags=st.fixed_dictionaries(
                {name: st.booleans() for name in FLAG_NAMES}))
-    @example(records=_event_records(_stream(7, 200, 4, 8, "shift")),
+    @example(records=_stream(7, 200, 4, 8, "shift"),
              tail_entries=16, depth=8, depth_limit=2,
              flags=dict(use_chains=True, use_intra=False,
                         use_inter_warp=False, per_app=False))

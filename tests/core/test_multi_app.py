@@ -5,14 +5,7 @@ from repro.core.throttle import NullThrottle, Throttle
 from repro.gpusim import GPUConfig
 from repro.gpusim.gpu import GPU
 from repro.gpusim.unified_cache import StorageMode
-from repro.prefetch.base import AccessEvent
 from repro.workloads import build_kernel
-
-
-def ev(warp, pc, addr, app=0):
-    return AccessEvent(warp_id=warp, cta_id=0, pc=pc, base_addr=addr,
-                       line_addr=addr - addr % 128, now=0, thread_stride=4,
-                       app_id=app)
 
 
 class TestPerAppTables:
@@ -21,34 +14,34 @@ class TestPerAppTables:
                                 use_inter_warp=False)
         # app 0 trains a chain
         for warp in range(3):
-            snake.observe(ev(warp, 0x10, 10_000 * warp, app=0))
-            snake.observe(ev(warp, 0x20, 10_000 * warp + 400, app=0))
+            snake.observe(warp, 0x10, 10_000 * warp, app_id=0)
+            snake.observe(warp, 0x20, 10_000 * warp + 400, app_id=0)
         # app 1 never sees it
-        assert snake.observe(ev(9, 0x10, 500_000, app=1)) == []
+        assert snake.observe(9, 0x10, 500_000, app_id=1) == []
         # app 0 does
-        assert snake.observe(ev(9, 0x10, 500_000, app=0))
+        assert snake.observe(9, 0x10, 500_000, app_id=0)
 
     def test_shared_mode_mixes(self):
         snake = SnakePrefetcher(per_app=False, use_intra=False,
                                 use_inter_warp=False)
         for warp in range(3):
-            snake.observe(ev(warp, 0x10, 10_000 * warp, app=0))
-            snake.observe(ev(warp, 0x20, 10_000 * warp + 400, app=0))
-        assert snake.observe(ev(9, 0x10, 500_000, app=1))
+            snake.observe(warp, 0x10, 10_000 * warp, app_id=0)
+            snake.observe(warp, 0x20, 10_000 * warp + 400, app_id=0)
+        assert snake.observe(9, 0x10, 500_000, app_id=1)
 
     def test_trained_any_app(self):
         snake = SnakePrefetcher(per_app=True, use_intra=False,
                                 use_inter_warp=False)
         assert not snake.trained
         for warp in range(3):
-            snake.observe(ev(warp, 0x10, 10_000 * warp, app=2))
-            snake.observe(ev(warp, 0x20, 10_000 * warp + 400, app=2))
+            snake.observe(warp, 0x10, 10_000 * warp, app_id=2)
+            snake.observe(warp, 0x20, 10_000 * warp + 400, app_id=2)
         assert snake.trained
 
     def test_table_accesses_sum_apps(self):
         snake = SnakePrefetcher(per_app=True)
-        snake.observe(ev(0, 0x10, 0, app=0))
-        snake.observe(ev(0, 0x10, 0, app=1))
+        snake.observe(0, 0x10, 0, app_id=0)
+        snake.observe(0, 0x10, 0, app_id=1)
         assert snake.table_accesses() >= 2
 
 
@@ -87,11 +80,11 @@ class TestDepthLimit:
         chain = [(0x10, 0), (0x20, 400), (0x30, 800), (0x40, 1200)]
         for warp in range(3):
             for pc, off in chain:
-                snake.observe(ev(warp, pc, 10_000 * warp + off))
+                snake.observe(warp, pc, 10_000 * warp + off)
         snake.set_depth_limit(1)
-        shallow = snake.observe(ev(7, 0x10, 500_000))
+        shallow = snake.observe(7, 0x10, 500_000)
         snake.set_depth_limit(8)
-        deep = snake.observe(ev(7, 0x10, 500_000))
+        deep = snake.observe(7, 0x10, 500_000)
         assert len(deep) > len(shallow)
 
     def test_throttle_depth_schedule(self):

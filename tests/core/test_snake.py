@@ -1,13 +1,6 @@
 """SnakePrefetcher behaviour on hand-built access streams."""
 
 from repro.core.snake import SnakePrefetcher
-from repro.prefetch.base import AccessEvent
-
-
-def ev(warp, pc, addr, now=0, cta=0):
-    return AccessEvent(warp_id=warp, cta_id=cta, pc=pc, base_addr=addr,
-                       line_addr=addr - addr % 128, now=now,
-                       thread_stride=4)
 
 
 def run_chain(snake, warp, base, links, rounds=1):
@@ -17,7 +10,7 @@ def run_chain(snake, warp, base, links, rounds=1):
     addr = base
     for r in range(rounds):
         for pc, offset in links:
-            out = snake.observe(ev(warp, pc, addr + offset))
+            out = snake.observe(warp, pc, addr + offset)
         addr += links[-1][1]  # advance by the loop stride
     return out
 
@@ -30,18 +23,18 @@ class TestChainDetection:
         snake = SnakePrefetcher(use_intra=False, use_inter_warp=False)
         for warp in range(3):
             for pc, offset in CHAIN:
-                snake.observe(ev(warp, pc, 10_000 * warp + offset))
+                snake.observe(warp, pc, 10_000 * warp + offset)
         # a fourth warp at PC 0x10 must now get chain predictions
-        requests = snake.observe(ev(3, 0x10, 500_000))
-        addrs = [r.base_addr for r in requests]
+        requests = snake.observe(3, 0x10, 500_000)
+        addrs = [addr for addr, _ in requests]
         assert 500_000 + 400 in addrs
         assert 500_000 + 40_400 in addrs
 
     def test_untrained_chain_is_silent(self):
         snake = SnakePrefetcher(use_intra=False, use_inter_warp=False)
         for pc, offset in CHAIN:
-            snake.observe(ev(0, pc, offset))
-        assert snake.observe(ev(0, 0x10, 100_000)) == []
+            snake.observe(0, pc, offset)
+        assert snake.observe(0, 0x10, 100_000) == []
 
     def test_chain_depth_bounded(self):
         snake = SnakePrefetcher(
@@ -49,8 +42,8 @@ class TestChainDetection:
         )
         for warp in range(3):
             for pc, offset in CHAIN:
-                snake.observe(ev(warp, pc, 10_000 * warp + offset))
-        requests = snake.observe(ev(3, 0x10, 500_000))
+                snake.observe(warp, pc, 10_000 * warp + offset)
+        requests = snake.observe(3, 0x10, 500_000)
         assert len(requests) <= 2
 
     def test_trained_property(self):
@@ -58,7 +51,7 @@ class TestChainDetection:
         assert not snake.trained
         for warp in range(3):
             for pc, offset in CHAIN:
-                snake.observe(ev(warp, pc, 10_000 * warp + offset))
+                snake.observe(warp, pc, 10_000 * warp + offset)
         assert snake.trained
 
 
@@ -66,13 +59,13 @@ class TestVerification:
     def test_warp_with_new_behaviour_is_removed(self):
         snake = SnakePrefetcher(use_intra=False, use_inter_warp=False)
         for warp in range(3):
-            snake.observe(ev(warp, 0x10, 10_000 * warp))
-            snake.observe(ev(warp, 0x20, 10_000 * warp + 400))
+            snake.observe(warp, 0x10, 10_000 * warp)
+            snake.observe(warp, 0x20, 10_000 * warp + 400)
         entry = snake.tail.find(0x10, 0x20, 400)[0]
         assert entry.has_warp(1)
         # warp 1 now goes 0x10 -> 0x20 with a different stride
-        snake.observe(ev(1, 0x10, 90_000))
-        snake.observe(ev(1, 0x20, 90_000 + 888))
+        snake.observe(1, 0x10, 90_000)
+        snake.observe(1, 0x20, 90_000 + 888)
         assert not entry.has_warp(1)
 
 
@@ -83,15 +76,15 @@ class TestIntraWarp:
         requests = []
         for warp in range(3):
             for i in range(3):
-                requests = snake.observe(ev(warp, 0x10, warp * 100_000 + i * 4096))
-        assert [r.base_addr for r in requests] == [2 * 100_000 + 2 * 4096 + 4096]
+                requests = snake.observe(warp, 0x10, warp * 100_000 + i * 4096)
+        assert [addr for addr, _ in requests] == [2 * 100_000 + 2 * 4096 + 4096]
 
     def test_degree_extends_reach(self):
         snake = SnakePrefetcher(use_chains=False, use_inter_warp=False,
                                 intra_degree=3)
         for warp in range(3):
             for i in range(3):
-                requests = snake.observe(ev(warp, 0x10, warp * 100_000 + i * 4096))
+                requests = snake.observe(warp, 0x10, warp * 100_000 + i * 4096)
         assert len(requests) == 3
 
 
@@ -101,8 +94,8 @@ class TestInterWarp:
                                 inter_warp_degree=2)
         requests = []
         for warp in range(4):
-            requests = snake.observe(ev(warp, 0x10, warp * 4096))
-        addrs = [r.base_addr for r in requests]
+            requests = snake.observe(warp, 0x10, warp * 4096)
+        addrs = [addr for addr, _ in requests]
         assert 4 * 4096 in addrs and 5 * 4096 in addrs
 
 
@@ -113,8 +106,8 @@ class TestFlags:
         snake = SnakePrefetcher(use_intra=False, use_inter_warp=False)
         for warp in range(4):
             for i in range(4):
-                requests = snake.observe(ev(warp, 0x10, warp * 100_000 + i * 4096))
-        assert requests and requests[0].base_addr == 3 * 100_000 + 4 * 4096
+                requests = snake.observe(warp, 0x10, warp * 100_000 + i * 4096)
+        assert requests and requests[0][0] == 3 * 100_000 + 4 * 4096
 
     def test_all_sources_disabled_is_silent(self):
         snake = SnakePrefetcher(
@@ -122,18 +115,18 @@ class TestFlags:
         )
         for warp in range(4):
             for i in range(4):
-                requests = snake.observe(ev(warp, 0x10, warp * 100_000 + i * 4096))
+                requests = snake.observe(warp, 0x10, warp * 100_000 + i * 4096)
         assert requests == []
 
     def test_requests_deduplicated(self):
         snake = SnakePrefetcher()
         for warp in range(4):
             for i in range(3):
-                requests = snake.observe(ev(warp, 0x10, warp * 4096 + i * 4096))
-        addrs = [r.base_addr for r in requests]
+                requests = snake.observe(warp, 0x10, warp * 4096 + i * 4096)
+        addrs = [addr for addr, _ in requests]
         assert len(addrs) == len(set(addrs))
 
     def test_table_accesses_counted(self):
         snake = SnakePrefetcher()
-        snake.observe(ev(0, 0x10, 0))
+        snake.observe(0, 0x10, 0)
         assert snake.table_accesses() > 0

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.head_table import HeadTable
 from repro.core.snake import SnakePrefetcher
 from repro.core.tail_table import TailTable
-from repro.prefetch.base import AccessEvent
 from repro.prefetch.stride import ConsensusTracker
 
 
@@ -33,14 +32,9 @@ def json_round_trip(snapshot):
     return json.loads(json.dumps(snapshot))
 
 
-def ev(warp, pc, addr, app=0, divergent=False):
-    return AccessEvent(warp_id=warp, cta_id=0, pc=pc, base_addr=addr,
-                       line_addr=addr - addr % 128, now=0, thread_stride=4,
-                       app_id=app, divergent=divergent)
-
-
 def random_events(seed, count=200, apps=1):
-    """A deterministic mixed stream: chains, strides, and noise."""
+    """A deterministic mixed stream of ``observe`` argument tuples
+    ``(warp, pc, addr, app, divergent)``: chains, strides, and noise."""
     rng = random.Random(seed)
     events = []
     for i in range(count):
@@ -48,8 +42,7 @@ def random_events(seed, count=200, apps=1):
         warp = rng.randrange(8)
         pc = rng.choice([0x10, 0x20, 0x30, 0x40, 0x50])
         addr = rng.randrange(0, 1 << 24) * 4
-        events.append(ev(warp, pc, addr, app=app,
-                         divergent=rng.random() < 0.05))
+        events.append((warp, pc, addr, app, rng.random() < 0.05))
     return events
 
 
@@ -156,15 +149,15 @@ class TestSnakeSnapshot:
         snake = SnakePrefetcher(per_app=per_app)
         events = random_events(seed=7, count=300, apps=2 if per_app else 1)
         for event in events[:150]:
-            snake.observe(event)
+            snake.observe(*event)
         snapshot = json_round_trip(snake.snapshot())
         restored = SnakePrefetcher.restore(snapshot)
         assert canonical(restored.snapshot()) == canonical(snake.snapshot())
         # behavioural equivalence: the tail of the stream produces the
         # same predictions and the same final state on both instances.
         for event in events[150:]:
-            assert [r.base_addr for r in snake.observe(event)] == [
-                r.base_addr for r in restored.observe(event)
+            assert [addr for addr, _ in snake.observe(*event)] == [
+                addr for addr, _ in restored.observe(*event)
             ]
         assert canonical(restored.snapshot()) == canonical(snake.snapshot())
 
@@ -203,11 +196,11 @@ class TestSnakeSnapshot:
         events = random_events(seed=seed, count=120)
         straight = SnakePrefetcher()
         for event in events:
-            straight.observe(event)
+            straight.observe(*event)
         cut_run = SnakePrefetcher()
         for event in events[:cut]:
-            cut_run.observe(event)
+            cut_run.observe(*event)
         resumed = SnakePrefetcher.restore(json_round_trip(cut_run.snapshot()))
         for event in events[cut:]:
-            resumed.observe(event)
+            resumed.observe(*event)
         assert canonical(resumed.snapshot()) == canonical(straight.snapshot())

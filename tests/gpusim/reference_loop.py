@@ -110,7 +110,7 @@ def issue_load(sm: SM, warp: WarpState, instr: WarpInstr) -> None:
         lines = coalesce(instr, sm.config.warp_size, sm.l1.line_bytes)
         warp.sector_masks = {}
     if not sm._pf_skip:
-        sm._feed_prefetcher(warp, instr, lines[0])
+        sm._feed_prefetcher(warp, instr)
     issue_mem_lines(sm, warp, lines, is_load=True, replay=False)
 
 

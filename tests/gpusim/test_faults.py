@@ -121,6 +121,24 @@ class TestCorrectnessContract:
         assert stats.warps_finished == baseline.warps_finished
         assert stats.verify() is stats
 
+    def test_tail_corrupt_reaches_snake_inside_composite(self):
+        """snake+cta's union exposes its Snake's tables, so the Tail
+        corruption site fires there too, and still costs no correctness."""
+        clean = simulate(_kernel(), prefetcher="snake+cta", config=SANITIZED)
+        injector = FaultInjector(
+            FaultPlan.single(
+                "snake.tail_corrupt",
+                rate=min(1.0, DEFAULT_RATES["snake.tail_corrupt"] * 4),
+            )
+        )
+        stats = simulate(
+            _kernel(), prefetcher="snake+cta", config=SANITIZED,
+            faults=injector,
+        )
+        assert injector.counts.get("snake.tail_corrupt", 0) > 0
+        assert stats.instructions == clean.instructions
+        assert stats.warps_finished == clean.warps_finished
+
     def test_plan_accepted_directly_by_gpu(self, baseline):
         # simulate()/GPU promote a bare plan to an injector internally
         stats = simulate(

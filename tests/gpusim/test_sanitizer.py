@@ -133,6 +133,19 @@ class TestViolationDetection:
         assert corrupted, "snake run left no tail entries to corrupt"
         self._expect(gpu, "snake_table")
 
+    def test_corrupt_tail_table_inside_composite(self):
+        """The sanitizer audits the Snake inside snake+cta's union."""
+        gpu = self._ran_gpu("snake+cta")
+        corrupted = False
+        for sm in gpu.sms:
+            for _, _, tail in sm.prefetcher.tables():
+                for entry in tail.entries():
+                    entry.warp_vector = 1 << 80  # outside the 64-bit field
+                    corrupted = True
+                    break
+        assert corrupted, "snake+cta run left no tail entries to corrupt"
+        self._expect(gpu, "snake_table")
+
     def test_stats_conservation_breach(self):
         gpu = self._ran_gpu()
         stats = gpu.sms[0].stats

@@ -128,8 +128,9 @@ class TestPrefetcherHook:
         seen = []
 
         class Recorder(Prefetcher):
-            def observe(self, event):
-                seen.append((event.warp_id, event.pc, event.base_addr))
+            def observe(self, warp_id, pc, base_addr, app_id=0,
+                        divergent=False, now=0, cta_id=0):
+                seen.append((warp_id, pc, base_addr))
                 return []
 
         sm = make_sm(prefetcher=Recorder())
@@ -137,12 +138,28 @@ class TestPrefetcherHook:
         sm.run()
         assert seen == [(0, 0x10, 0), (0, 0x18, 128)]
 
+    def test_prefetcher_sees_the_issuing_cta(self):
+        seen = []
+
+        class Recorder(Prefetcher):
+            def observe(self, warp_id, pc, base_addr, app_id=0,
+                        divergent=False, now=0, cta_id=0):
+                seen.append((warp_id, cta_id))
+                return []
+
+        sm = make_sm(prefetcher=Recorder())
+        sm.enqueue_cta(cta([[load(0x10, 0)]], cta_id=5, first_warp=0))
+        sm.enqueue_cta(cta([[load(0x10, 4096)]], cta_id=9, first_warp=1))
+        sm.run()
+        assert sorted(seen) == [(0, 5), (1, 9)]
+
     def test_replay_does_not_retrain(self):
         seen = []
 
         class Recorder(Prefetcher):
-            def observe(self, event):
-                seen.append(event.pc)
+            def observe(self, warp_id, pc, base_addr, app_id=0,
+                        divergent=False, now=0, cta_id=0):
+                seen.append(pc)
                 return []
 
         config = GPUConfig.scaled().with_(mshr_entries=1, miss_queue_depth=1)

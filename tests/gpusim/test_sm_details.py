@@ -8,7 +8,7 @@ from repro.gpusim.dram import DRAM
 from repro.gpusim.l2 import L2Cache
 from repro.gpusim.sm import SM
 from repro.gpusim.trace import CTA, Op, WarpInstr, WarpTrace
-from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
+from repro.prefetch.base import Prefetcher
 
 
 def make_sm(config=None, prefetcher=None, throttle=None):
@@ -66,11 +66,11 @@ class TestPrefetchFootprint:
             def __init__(self):
                 self.done = False
 
-            def observe(self, event):
+            def observe(self, *args):
                 if self.done:
                     return []
                 self.done = True
-                return [PrefetchRequest(base_addr=1 << 20)]
+                return [(1 << 20, 1)]
 
         sm = make_sm(prefetcher=OneShot())
         # broadcast trigger -> single-line prefetch footprint
@@ -86,11 +86,11 @@ class TestPrefetchFootprint:
             def __init__(self):
                 self.done = False
 
-            def observe(self, event):
+            def observe(self, *args):
                 if self.done:
                     return []
                 self.done = True
-                return [PrefetchRequest(base_addr=1 << 20)]
+                return [(1 << 20, 1)]
 
         config = GPUConfig.scaled().with_(prefetcher_latency=7)
         sm = make_sm(config, prefetcher=OneShot())
@@ -121,8 +121,9 @@ class TestAppTagging:
         seen = []
 
         class Recorder(Prefetcher):
-            def observe(self, event: AccessEvent):
-                seen.append(event.app_id)
+            def observe(self, warp_id, pc, base_addr, app_id=0,
+                        divergent=False, now=0, cta_id=0):
+                seen.append(app_id)
                 return []
 
         sm = make_sm(prefetcher=Recorder())

@@ -34,6 +34,18 @@ class TestWarpInstr:
         with pytest.raises(ValueError):
             WarpInstr(pc=0, op=Op.LOAD, base_addr=-4)
 
+    @pytest.mark.parametrize("op", PLAIN_OPS)
+    @pytest.mark.parametrize("operands", [
+        dict(base_addr=4096, thread_stride=4), dict(base_addr=4096),
+        dict(base_addr=-4), dict(thread_stride=-4), dict(size_bytes=8),
+        dict(divergent=True),
+    ])
+    def test_address_free_op_rejects_operands(self, op, operands):
+        """``[16, "alu"]`` is all the trace format keeps of an ALU
+        instruction, so one carrying operands could not round-trip."""
+        with pytest.raises(ValueError, match=op.name):
+            WarpInstr(16, op, **operands)
+
     def test_frozen(self):
         for instr in (load(0x10, 0), PlainInstrs(Op.ALU)[0x10]):
             with pytest.raises(dataclasses.FrozenInstanceError):

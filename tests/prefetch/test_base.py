@@ -1,27 +1,101 @@
 """Prefetcher API, registry, and machine setups."""
 
-import pytest
+import random
 
-from repro.gpusim.config import GPUConfig
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.gpusim.coalescer import coalesce_lines
+from repro.gpusim.config import CacheConfig, GPUConfig
 from repro.gpusim.unified_cache import StorageMode
 from repro.prefetch import COMPARISON_POINTS, build_setup
-from repro.prefetch.base import (
-    AccessEvent,
-    Prefetcher,
-    PrefetchRequest,
-    available,
-    create,
-)
+from repro.prefetch.base import Prefetcher, available, create
+
+#: Every registered prefetcher and every machine setup's prefetcher
+#: (the Snake variants, and snake+cta's composite).
+MECHANISMS = sorted(set(available()) | set(COMPARISON_POINTS) | {"isolated-snake"})
+
+
+def _records(seed, length, pcs, warps):
+    """``observe`` argument tuples ``(warp, pc, addr, app, divergent, now,
+    cta)``: warps take turns, each running the ``pcs`` loads of one loop
+    iteration, four warps to a CTA.  Addresses start near 0, and loop,
+    warp and CTA strides may be negative, so predicted targets regularly
+    fall below 0; an address never does, as the SM coalesces no negative
+    one.  One load in eight jumps far, so spatial mechanisms see new
+    regions and chunks."""
+    rng = random.Random(seed)
+    strides = [rng.choice((-160, -96, -64, -4, 4, 64, 128)) for _ in range(pcs)]
+    descending = rng.random() < 0.5  # later warps and CTAs sit lower
+    cursors = {}
+    records = []
+    for k in range(length):
+        warp = (k // pcs) % warps
+        index = k % pcs
+        if rng.random() < 0.125:
+            addr = rng.randrange(0, 1 << 22)
+        else:
+            slot = warps - 1 - warp if descending else warp
+            addr = cursors.get((warp, index), slot * 256 + index * 32)
+        nxt = addr + strides[index]
+        cursors[warp, index] = nxt if nxt >= 0 else rng.randrange(0, 256)
+        records.append((warp, 0x100 + 4 * index, addr, rng.randrange(2),
+                        rng.random() < 0.05, k, warp // 4))
+    return records
+
+
+def _prefetcher(name):
+    return build_setup(name, GPUConfig.scaled()).prefetcher_factory()
+
+
+def _check_pair(pair):
+    """The pair contract every mechanism's ``observe`` keeps."""
+    assert type(pair) is tuple and len(pair) == 2
+    base_addr, depth = pair
+    assert type(base_addr) is int and type(depth) is int
+    assert base_addr >= 0 and depth >= 1
 
 
 class TestRequestValidation:
+    """The pair contract rejects what ``PrefetchRequest`` once rejected;
+    ``TestPairContract`` holds every mechanism to it."""
+
     def test_rejects_negative_address(self):
+        with pytest.raises(AssertionError):
+            _check_pair((-1, 1))
+        # Were one to slip through, the L1's prefetch path would refuse it.
         with pytest.raises(ValueError):
-            PrefetchRequest(base_addr=-1)
+            coalesce_lines(-1, 4, 4, 32, 128)
 
     def test_rejects_zero_depth(self):
-        with pytest.raises(ValueError):
-            PrefetchRequest(base_addr=0, depth=0)
+        with pytest.raises(AssertionError):
+            _check_pair((0, 0))
+        _check_pair((0, 1))
+
+
+class TestPairContract:
+    """Every mechanism returns ``(base_addr, depth)`` pairs of ints with
+    a non-negative address and a depth of at least 1."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31), length=st.integers(1, 400),
+           pcs=st.integers(1, 6), warps=st.integers(1, 12))
+    @pytest.mark.parametrize("name", MECHANISMS)
+    def test_every_pair_is_a_valid_request(self, name, seed, length, pcs,
+                                           warps):
+        prefetcher = _prefetcher(name)
+        for record in _records(seed, length, pcs, warps):
+            for pair in prefetcher.observe(*record):
+                _check_pair(pair)
+
+    def test_streams_make_every_mechanism_predict(self):
+        """The contract test is not vacuous: on one long stream every
+        mechanism but the null one returns pairs."""
+        records = _records(1, 4000, 4, 16)
+        for name in MECHANISMS:
+            prefetcher = _prefetcher(name)
+            predicted = sum(len(prefetcher.observe(*r)) for r in records)
+            assert (predicted > 0) == (name != "none"), name
 
 
 class TestRegistry:
@@ -35,9 +109,7 @@ class TestRegistry:
             create("nope")
 
     def test_null_prefetcher_is_silent(self):
-        event = AccessEvent(warp_id=0, cta_id=0, pc=0, base_addr=0,
-                            line_addr=0, now=0)
-        assert create("none").observe(event) == []
+        assert create("none").observe(0, 0, 0) == []
 
 
 class TestBuildSetup:
@@ -94,3 +166,31 @@ class TestBuildSetup:
     def test_fresh_prefetcher_per_call(self):
         setup = build_setup("snake", GPUConfig.scaled())
         assert setup.prefetcher_factory() is not setup.prefetcher_factory()
+
+
+class TestLineSize:
+    """The line-granular baselines take the L1's configured line size."""
+
+    CONFIG = GPUConfig.scaled().with_(l1=CacheConfig(32 * 1024, 64, 64, 28))
+
+    def test_config_is_valid(self):
+        self.CONFIG.validate()
+
+    @pytest.mark.parametrize("name", ["tree", "bingo", "domino"])
+    def test_setup_passes_line_bytes(self, name):
+        assert build_setup(name, self.CONFIG).prefetcher_factory().line_bytes == 64
+
+    def test_tree_requests_consecutive_64_byte_lines(self):
+        tree = build_setup("tree", self.CONFIG).prefetcher_factory()
+        assert tree.observe(0, 0x10, 0) == [
+            (64 * k, k) for k in range(1, tree.burst + 1)
+        ]
+
+    def test_bingo_counts_footprint_in_64_byte_lines(self):
+        bingo = build_setup(
+            "bingo", self.CONFIG, region_bytes=1024, max_regions=1
+        ).prefetcher_factory()
+        for offset in (0, 3, 5):
+            bingo.observe(0, 0x10, offset * 64)
+        requests = bingo.observe(0, 0x10, 1 << 20)
+        assert sorted((addr - (1 << 20)) // 64 for addr, _ in requests) == [3, 5]

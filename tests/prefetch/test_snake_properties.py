@@ -7,13 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.snake import SnakePrefetcher
 from repro.core.tail_table import TailTable
-from repro.prefetch.base import AccessEvent
-
-
-def ev(warp, pc, addr, app=0):
-    return AccessEvent(warp_id=warp, cta_id=0, pc=pc, base_addr=addr,
-                       line_addr=addr - addr % 128, now=0, thread_stride=4,
-                       app_id=app)
 
 
 @st.composite
@@ -45,12 +38,12 @@ class TestChainLearning:
         base_step = 1 << 20
         for warp in range(warps):
             for pc, offset in spec:
-                snake.observe(ev(warp, pc, warp * base_step + offset + base_step))
+                snake.observe(warp, pc, warp * base_step + offset + base_step)
         # a new warp at the chain head gets the full chain predicted
         head_pc, head_off = spec[0]
         trigger = 64 * base_step + head_off
-        requests = snake.observe(ev(63, head_pc, trigger))
-        predicted = {r.base_addr for r in requests}
+        requests = snake.observe(63, head_pc, trigger)
+        predicted = {addr for addr, _ in requests}
         for pc, offset in spec[1:]:
             assert trigger + (offset - head_off) in predicted
 
@@ -60,9 +53,9 @@ class TestChainLearning:
         snake = SnakePrefetcher(tail_entries=16)
         for warp in range(4):
             for pc, offset in spec:
-                snake.observe(ev(warp, pc, warp * (1 << 20) + offset + (1 << 20)))
-        requests = snake.observe(ev(9, spec[0][0], 1 << 24))
-        addrs = [r.base_addr for r in requests]
+                snake.observe(warp, pc, warp * (1 << 20) + offset + (1 << 20))
+        requests = snake.observe(9, spec[0][0], 1 << 24)
+        addrs = [addr for addr, _ in requests]
         assert len(addrs) == len(set(addrs))
         assert all(a >= 0 for a in addrs)
 

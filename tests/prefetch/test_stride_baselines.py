@@ -1,6 +1,5 @@
 """INTRA / INTER / MTA / CTA-aware / Tree / Ideal behaviour."""
 
-from repro.prefetch.base import AccessEvent
 from repro.prefetch.cta_aware import CTAAwarePrefetcher
 from repro.prefetch.ideal import IdealPrefetcher
 from repro.prefetch.inter_warp import InterWarpPrefetcher
@@ -8,11 +7,6 @@ from repro.prefetch.intra_warp import IntraWarpPrefetcher
 from repro.prefetch.mta import MTAPrefetcher
 from repro.prefetch.stride import ConsensusTracker, StrideTracker
 from repro.prefetch.tree import CHUNK_BYTES, TreePrefetcher
-
-
-def ev(warp, pc, addr, cta=0):
-    return AccessEvent(warp_id=warp, cta_id=cta, pc=pc, base_addr=addr,
-                       line_addr=addr - addr % 128, now=0, thread_stride=4)
 
 
 class TestStrideTracker:
@@ -54,21 +48,21 @@ class TestConsensusTracker:
 class TestIntraWarp:
     def test_prefetches_loop_iterations(self):
         pf = IntraWarpPrefetcher(degree=2)
-        pf.observe(ev(0, 0x10, 0))
-        pf.observe(ev(0, 0x10, 4096))
-        requests = pf.observe(ev(0, 0x10, 8192))
-        assert [r.base_addr for r in requests] == [12288, 16384]
+        pf.observe(0, 0x10, 0)
+        pf.observe(0, 0x10, 4096)
+        requests = pf.observe(0, 0x10, 8192)
+        assert [addr for addr, _ in requests] == [12288, 16384]
 
     def test_separate_warps_do_not_interfere(self):
         pf = IntraWarpPrefetcher()
-        pf.observe(ev(0, 0x10, 0))
-        pf.observe(ev(1, 0x10, 999_999))
-        assert pf.observe(ev(0, 0x10, 4096)) == []  # no confirmed stride yet
+        pf.observe(0, 0x10, 0)
+        pf.observe(1, 0x10, 999_999)
+        assert pf.observe(0, 0x10, 4096) == []  # no confirmed stride yet
 
     def test_irregular_never_trains(self):
         pf = IntraWarpPrefetcher()
         for addr in (0, 7773, 120, 91_231):
-            requests = pf.observe(ev(0, 0x10, addr))
+            requests = pf.observe(0, 0x10, addr)
         assert requests == []
 
 
@@ -77,15 +71,15 @@ class TestInterWarp:
         pf = InterWarpPrefetcher(degree=2, train_threshold=3)
         requests = []
         for warp in range(4):
-            requests = pf.observe(ev(warp, 0x10, warp * 4096))
-        assert [r.base_addr for r in requests] == [4 * 4096, 5 * 4096]
+            requests = pf.observe(warp, 0x10, warp * 4096)
+        assert [addr for addr, _ in requests] == [4 * 4096, 5 * 4096]
 
     def test_warp_gaps_normalized(self):
         pf = InterWarpPrefetcher(train_threshold=2)
-        pf.observe(ev(0, 0x10, 0))
-        pf.observe(ev(2, 0x10, 8192))  # gap 2, per-warp stride 4096
-        requests = pf.observe(ev(3, 0x10, 12288))
-        assert requests and requests[0].base_addr == 16384
+        pf.observe(0, 0x10, 0)
+        pf.observe(2, 0x10, 8192)  # gap 2, per-warp stride 4096
+        requests = pf.observe(3, 0x10, 12288)
+        assert requests and requests[0][0] == 16384
 
 
 class TestMTA:
@@ -93,59 +87,59 @@ class TestMTA:
         pf = MTAPrefetcher(degree=1, train_threshold=2)
         # train intra (loop in warp 0) and inter (warps 0..2 fixed stride)
         for i in range(3):
-            pf.observe(ev(0, 0x10, i * 512))
+            pf.observe(0, 0x10, i * 512)
         for warp in (1, 2, 3):
-            pf.observe(ev(warp, 0x10, 100_000 + warp * 4096))
-        requests = pf.observe(ev(0, 0x10, 3 * 512))
+            pf.observe(warp, 0x10, 100_000 + warp * 4096)
+        requests = pf.observe(0, 0x10, 3 * 512)
         assert len(requests) >= 1
 
     def test_deduplicates(self):
         pf = MTAPrefetcher()
         for warp in range(4):
             for i in range(3):
-                requests = pf.observe(ev(warp, 0x10, warp * 4096 + i * 4096))
-        addrs = [r.base_addr for r in requests]
+                requests = pf.observe(warp, 0x10, warp * 4096 + i * 4096)
+        addrs = [addr for addr, _ in requests]
         assert len(addrs) == len(set(addrs))
 
 
 class TestCTAAware:
     def test_trains_on_cta_base_stride(self):
         pf = CTAAwarePrefetcher(degree=1, train_threshold=2, cta_step=1)
-        pf.observe(ev(0, 0x10, 0, cta=0))
-        pf.observe(ev(8, 0x10, 1 << 20, cta=1))
-        pf.observe(ev(16, 0x10, 2 << 20, cta=2))
-        requests = pf.observe(ev(24, 0x10, 3 << 20, cta=3))
-        assert requests and requests[0].base_addr == (4 << 20)
+        pf.observe(0, 0x10, 0, cta_id=0)
+        pf.observe(8, 0x10, 1 << 20, cta_id=1)
+        pf.observe(16, 0x10, 2 << 20, cta_id=2)
+        requests = pf.observe(24, 0x10, 3 << 20, cta_id=3)
+        assert requests and requests[0][0] == (4 << 20)
 
     def test_cta_step_scales_prediction(self):
         pf = CTAAwarePrefetcher(degree=1, train_threshold=2, cta_step=2)
         for cta in range(3):
-            pf.observe(ev(cta * 8, 0x10, cta << 20, cta=cta))
-        requests = pf.observe(ev(99, 0x10, 5 << 20, cta=10))
-        assert requests[0].base_addr == (5 << 20) + (2 << 20)
+            pf.observe(cta * 8, 0x10, cta << 20, cta_id=cta)
+        requests = pf.observe(99, 0x10, 5 << 20, cta_id=10)
+        assert requests[0][0] == (5 << 20) + (2 << 20)
 
     def test_needs_two_ctas(self):
         pf = CTAAwarePrefetcher(train_threshold=2)
         for warp in range(8):
-            requests = pf.observe(ev(warp, 0x10, warp * 128, cta=0))
+            requests = pf.observe(warp, 0x10, warp * 128, cta_id=0)
         assert requests == []
 
 
 class TestTree:
     def test_prefetches_following_lines_in_chunk(self):
         pf = TreePrefetcher(burst=4)
-        requests = pf.observe(ev(0, 0x10, 0))
-        assert [r.base_addr for r in requests] == [128, 256, 384, 512]
+        requests = pf.observe(0, 0x10, 0)
+        assert [addr for addr, _ in requests] == [128, 256, 384, 512]
 
     def test_cursor_advances_across_triggers(self):
         pf = TreePrefetcher(burst=2)
-        pf.observe(ev(0, 0x10, 0))
-        requests = pf.observe(ev(0, 0x10, 128))
-        assert [r.base_addr for r in requests] == [384, 512]
+        pf.observe(0, 0x10, 0)
+        requests = pf.observe(0, 0x10, 128)
+        assert [addr for addr, _ in requests] == [384, 512]
 
     def test_stops_at_chunk_boundary(self):
         pf = TreePrefetcher(burst=8)
-        requests = pf.observe(ev(0, 0x10, CHUNK_BYTES - 128))
+        requests = pf.observe(0, 0x10, CHUNK_BYTES - 128)
         assert requests == []
 
 
@@ -156,21 +150,21 @@ class TestIdeal:
     def test_covers_second_occurrence_of_any_transition(self):
         pf = IdealPrefetcher()
         # warp 0 walks a chain; warp 1 then repeats it
-        pf.observe(ev(0, 0x10, 1000))
-        pf.observe(ev(0, 0x20, 1400))
-        requests = pf.observe(ev(1, 0x10, 9000))
-        assert any(r.base_addr == 9400 for r in requests)
+        pf.observe(0, 0x10, 1000)
+        pf.observe(0, 0x20, 1400)
+        requests = pf.observe(1, 0x10, 9000)
+        assert any(addr == 9400 for addr, _ in requests)
 
     def test_no_history_no_prediction(self):
         pf = IdealPrefetcher()
-        assert pf.observe(ev(0, 0x10, 0)) == []
+        assert pf.observe(0, 0x10, 0) == []
 
     def test_supports_variable_strides(self):
         pf = IdealPrefetcher()
-        pf.observe(ev(0, 0x10, 0))
-        pf.observe(ev(0, 0x20, 400))     # stride +400
-        pf.observe(ev(0, 0x10, 10_000))
-        pf.observe(ev(0, 0x20, 9_600))   # stride -400 (different!)
-        requests = pf.observe(ev(1, 0x10, 50_000))
-        addrs = {r.base_addr for r in requests}
+        pf.observe(0, 0x10, 0)
+        pf.observe(0, 0x20, 400)     # stride +400
+        pf.observe(0, 0x10, 10_000)
+        pf.observe(0, 0x20, 9_600)   # stride -400 (different!)
+        requests = pf.observe(1, 0x10, 50_000)
+        addrs = {addr for addr, _ in requests}
         assert {50_400, 49_600} <= addrs

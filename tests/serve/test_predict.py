@@ -1,7 +1,7 @@
 """``ServiceState.predict`` and ``apply`` against the naive references.
 
 The service trains and predicts in one pass per applied record
-(``SnakePrefetcher.observe_raw``), and answers a prediction through the
+(``SnakePrefetcher.observe``), and answers a prediction through the
 same generation body on its own (``SnakePrefetcher._generate_raw``, with
 ``peek_predictions`` looking the consensus tracker up).  ``scalar_peek``
 (``tests/core/reference_snake.py``'s ``peek``) is the reference a read
@@ -55,7 +55,7 @@ def test_per_app_peek_matches_scalar_reference():
     for i in range(40):
         for app in (0, 1):
             for pc, base in ((0x10, 0x1000), (0x20, 0x9000)):
-                learner.observe_raw(i % 4, pc, base + 64 * i + app, app)
+                learner.observe(i % 4, pc, base + 64 * i + app, app)
     image = learner.snapshot()
     for app in (0, 1, 2):   # app 2 has no tables: both read nothing
         for pc in (0x10, 0x20):

@@ -155,10 +155,10 @@ class _Boom(Exception):
 
 
 def _wound_shard(state, client, shard_index):
-    """Replace one shard's learner with one that faults in observe_raw."""
+    """Replace one shard's learner with one that faults in observe."""
 
     class _Wounded:
-        def observe_raw(self, *args):
+        def observe(self, *args):
             raise _Boom("synthetic shard fault")
 
         def tables(self):
