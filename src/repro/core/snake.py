@@ -27,6 +27,8 @@ from repro.prefetch.stride import ConsensusTracker
 from .head_table import HeadTable, SNAPSHOT_VERSION
 from .tail_table import TailTable, TrainState
 
+_NOT_TRAINED = TrainState.NOT_TRAINED  # a module global reads faster
+
 
 class SnakePrefetcher(Prefetcher):
     """Variable-length chain-based prefetcher."""
@@ -49,6 +51,12 @@ class SnakePrefetcher(Prefetcher):
     ) -> None:
         if max_chain_depth < 1:
             raise ValueError("max_chain_depth must be >= 1")
+        if train_threshold < 1:
+            raise ValueError("train_threshold must be >= 1")
+        if inter_warp_degree < 0:
+            raise ValueError("inter_warp_degree must be >= 0")
+        if intra_degree < 0:
+            raise ValueError("intra_degree must be >= 0")
         self.head = HeadTable(capacity=head_entries)
         self.tail = TailTable(
             capacity=tail_entries,
@@ -196,9 +204,8 @@ class SnakePrefetcher(Prefetcher):
             # One CAM search, bucket scanned in place (find()'s accounting,
             # without its list copy).
             tail.lookups += 1
-            not_trained = TrainState.NOT_TRAINED
             for entry in tail._pc_index.get(pc, ()):
-                if entry.t2 is not not_trained and entry.intra_stride:
+                if entry.t2 is not _NOT_TRAINED and entry.intra_stride:
                     stride = entry.intra_stride
                     for k in range(1, self.intra_degree + 1):
                         target = base_addr + k * stride
@@ -213,14 +220,15 @@ class SnakePrefetcher(Prefetcher):
                     pairs.append((target, k))
 
         # Inter-thread first (higher accuracy, §3.4), then de-duplicate:
-        # the first depth seen for an address wins.  A list with no
+        # the first depth seen for an address wins.  ``dict(pairs)`` keys
+        # the addresses in first-seen order; re-assigning them in reverse
+        # moves no key and leaves each one's first depth.  A list with no
         # repeated address is already its own deduplication.
-        if len(pairs) > 1 and len(dict(pairs)) < len(pairs):
-            first: Dict[int, int] = {}
-            for addr, depth in pairs:
-                if addr not in first:
-                    first[addr] = depth
-            pairs = list(first.items())
+        if len(pairs) > 1:
+            first = dict(pairs)
+            if len(first) < len(pairs):
+                first.update(reversed(pairs))
+                pairs = list(first.items())
         if pairs and self.obs.enabled:
             self.obs.emit(
                 ChainWalkEvent(
@@ -313,7 +321,11 @@ class SnakePrefetcher(Prefetcher):
 
         The restored instance is behaviourally identical to the one that
         produced the snapshot: feeding both the same subsequent events
-        yields the same predictions and the same next snapshot.
+        yields the same predictions and the same next snapshot.  A
+        snapshot no learner can reach raises ``ValueError``: a depth
+        limit below 1, no app 0 tables, tables or consensus trackers
+        whose sizes, threshold or eviction differ from the config, or
+        more than two inter-warp slots for one ``(app, pc)``.
         """
         if data.get("v") != SNAPSHOT_VERSION:
             raise ValueError(
@@ -345,6 +357,20 @@ class SnakePrefetcher(Prefetcher):
         }
         if 0 not in prefetcher._app_tables:
             raise ValueError("SnakePrefetcher snapshot lacks app 0 tables")
+        threshold = prefetcher.train_threshold
+        config_shape = (
+            prefetcher._head_entries, prefetcher._tail_entries, threshold,
+            prefetcher._eviction,
+        )
+        for app_id, (head, tail) in prefetcher._app_tables.items():
+            shape = (head.capacity, tail.capacity, tail.train_threshold,
+                     tail.eviction)
+            if shape != config_shape:
+                raise ValueError(
+                    "app %d tables (head capacity, tail capacity, "
+                    "train_threshold, eviction) %r disagree with the "
+                    "learner's config %r" % (app_id, shape, config_shape)
+                )
         prefetcher.head, prefetcher.tail = prefetcher._app_tables[0]
         prefetcher._intra_last = {
             (int(a), int(w), int(p)): int(addr)
@@ -354,8 +380,21 @@ class SnakePrefetcher(Prefetcher):
             (int(a), int(p)): [(int(w), int(addr)) for w, addr in slots]
             for a, p, slots in data["iw_last"]
         }
+        for (app_id, pc), slots in prefetcher._iw_last.items():
+            if len(slots) > 2:
+                raise ValueError(
+                    "iw_last for app %d pc %#x holds %d slots > 2"
+                    % (app_id, pc, len(slots))
+                )
         prefetcher._iw_consensus = {
             (int(a), int(p)): ConsensusTracker.restore(tracker)
             for a, p, tracker in data["iw_consensus"]
         }
+        for (app_id, pc), tracker in prefetcher._iw_consensus.items():
+            if tracker.threshold != threshold:
+                raise ValueError(
+                    "iw_consensus for app %d pc %#x has threshold %d, "
+                    "learner train_threshold %d"
+                    % (app_id, pc, tracker.threshold, threshold)
+                )
         return prefetcher

@@ -15,8 +15,9 @@ The store is a CAM indexed by PC1: entries live both in a store-ordered list
 (snapshot order, eviction scans) and in a per-PC1 bucket index.
 :meth:`walk_raw` reads the buckets to fan out and transitively walk a whole
 variable-length chain per trigger in one call, mirroring the raw-arguments
-convention of ``repro.gpusim.coalescer.coalesce_lines``.  The index holds the
-entry objects themselves, so in-place field mutation (the fault injector's
+convention of ``repro.gpusim.coalescer.coalesce_lines``: one pass over the
+trigger PC's bucket, then one per further hop.  The index holds the entry
+objects themselves, so in-place field mutation (the fault injector's
 corruptions) is seen by the next walk.
 """
 
@@ -40,7 +41,14 @@ class TrainState(enum.Enum):
 
     @property
     def prefetchable(self) -> bool:
-        return self is not TrainState.NOT_TRAINED
+        return self is not _NOT_TRAINED
+
+
+# Hot paths read members through these aliases: a module global costs one
+# dict lookup, ``TrainState.TRAINED`` an enum class-attribute read.
+_NOT_TRAINED = TrainState.NOT_TRAINED
+_PROMOTED = TrainState.PROMOTED
+_TRAINED = TrainState.TRAINED
 
 
 @dataclass(slots=True, eq=False)
@@ -87,6 +95,8 @@ class TailTable:
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if train_threshold < 1:
+            raise ValueError("train_threshold must be >= 1")
         if eviction not in ("lru+pop", "pop"):
             raise ValueError("eviction must be 'lru+pop' or 'pop'")
         self.capacity = capacity
@@ -152,51 +162,67 @@ class TailTable:
         call over the CAM index; returns ``(target_addr, depth)`` pairs.
 
         Raw-arguments API (mirrors ``coalesce_lines``): no event object, no
-        per-hop CAM calls.  The result — including request order and the
-        ``lookups`` counter accounting — is pinned byte-identical by
-        property tests to a naive walk with one :meth:`find` per hop
-        (``tests/core/reference_snake.py``).
+        per-hop CAM calls.  One pass over the trigger PC's bucket yields
+        both the depth-1 fan-out and the first hop's best link.  A loop is
+        caught by the hop's origin PC: nothing writes the table during a
+        walk, no code writes ``pc1`` (the bucket key), and the best link
+        out of a PC depends only on its bucket and the warp bit, so a
+        repeated origin PC is exactly a repeated ``(pc1, pc2)`` link.  The
+        result — including request order and the ``lookups`` counter
+        accounting (one fan-out search plus one per hop attempt) — is
+        pinned to a naive walk with one :meth:`find` per hop
+        (``tests/core/reference_snake.py``).  ``depth_limit`` is >= 1.
         """
         idx_get = self._pc_index.get
-        not_trained = TrainState.NOT_TRAINED
-        lookups = 1
-
+        warp_bit = 1 << (warp_id % 64)
         out: List[Tuple[int, int]] = []
-        # Depth-1 fan-out: every trained link out of the trigger PC (§3.4) —
-        # one CAM search in the reference walk.
+        # Depth-1 fan-out: every trained link out of the trigger PC (§3.4);
+        # the same pass picks the first hop's best-confirmed link.  The
+        # (warp-bit, popcount) tuple key is flattened to one int: popcount
+        # <= 64 < 256, so the bit dominates, and the strict ``>`` keeps the
+        # first entry of a tie.
+        best: Optional[TailEntry] = None
+        best_key = -1
         for entry in idx_get(pc, ()):
-            if entry.t1 is not not_trained:
+            if entry.t1 is not _NOT_TRAINED:
                 target = base_addr + entry.inter_thread_stride
                 if target >= 0:
                     out.append((target, 1))
+                wv = entry.warp_vector
+                key = (256 if wv & warp_bit else 0) + wv.bit_count()
+                if key > best_key:
+                    best, best_key = entry, key
 
-        # Transitive walk along the best-confirmed link per hop.
-        warp_bit = 1 << (warp_id % 64)
-        cur_pc, addr = pc, base_addr
-        visited = set()
-        for depth in range(1, depth_limit + 1):
-            # One CAM search per hop attempt in the reference walk.
-            lookups += 1
-            best: Optional[TailEntry] = None
-            # The (warp-bit, popcount) tuple key flattened to one int:
-            # popcount <= 64 < 256, so the bit dominates and strict
-            # ordering is preserved.
+        # Transitive walk along the best-confirmed link per hop; ``depth``
+        # also counts the hop attempts, each one CAM search.
+        origins = {pc}
+        addr, depth = base_addr, 1
+        while best is not None:
+            addr += best.inter_thread_stride
+            if addr < 0:
+                break
+            out.append((addr, depth))
+            if depth >= depth_limit:
+                break
+            depth += 1
+            cur_pc = best.pc2
+            if cur_pc in origins:
+                break
+            origins.add(cur_pc)
+            best = None
+            bucket = idx_get(cur_pc, ())
+            if len(bucket) == 1:
+                if bucket[0].t1 is not _NOT_TRAINED:
+                    best = bucket[0]
+                continue
             best_key = -1
-            for entry in idx_get(cur_pc, ()):
-                if entry.t1 is not not_trained:
+            for entry in bucket:
+                if entry.t1 is not _NOT_TRAINED:
                     wv = entry.warp_vector
                     key = (256 if wv & warp_bit else 0) + wv.bit_count()
                     if key > best_key:
                         best, best_key = entry, key
-            if best is None or (best.pc1, best.pc2) in visited:
-                break
-            visited.add((best.pc1, best.pc2))
-            addr = addr + best.inter_thread_stride
-            if addr < 0:
-                break
-            out.append((addr, depth))
-            cur_pc = best.pc2
-        self.lookups += lookups
+        self.lookups += 1 + depth
         return out
 
     # ------------------------------------------------------------------
@@ -236,7 +262,7 @@ class TailTable:
                 # and send that link back to detection (§3.2).
                 entry.warp_vector &= ~warp_bit
                 if entry.warp_vector == 0:
-                    entry.t1 = TrainState.NOT_TRAINED
+                    entry.t1 = _NOT_TRAINED
 
         if match is None:
             match = TailEntry(pc1=pc1, pc2=pc2, inter_thread_stride=stride)
@@ -248,13 +274,11 @@ class TailTable:
         self._tick += 1
         match.last_use = self._tick
         popcount = match.warp_vector.bit_count()
-        if (
-            match.t1 is TrainState.NOT_TRAINED
-            and popcount >= self.train_threshold
-        ):
-            match.t1 = TrainState.PROMOTED
-        elif match.t1 is TrainState.PROMOTED and popcount > self.train_threshold:
-            match.t1 = TrainState.TRAINED
+        t1 = match.t1
+        if t1 is _NOT_TRAINED and popcount >= self.train_threshold:
+            match.t1 = _PROMOTED
+        elif t1 is _PROMOTED and popcount > self.train_threshold:
+            match.t1 = _TRAINED
         return match
 
     def record_intra(self, warp_id: int, pc: int, stride: int) -> None:
@@ -290,13 +314,13 @@ class TailTable:
             current = entry.intra_stride
             if current == stride:
                 if votes >= threshold:
-                    entry.t2 = TrainState.TRAINED
+                    entry.t2 = _TRAINED
             elif current is None or votes >= by_stride.get(current, 0):
                 entry.intra_stride = stride
                 if votes >= threshold:
-                    entry.t2 = TrainState.TRAINED
-                elif entry.t2 is not TrainState.TRAINED:
-                    entry.t2 = TrainState.NOT_TRAINED
+                    entry.t2 = _TRAINED
+                elif entry.t2 is not _TRAINED:
+                    entry.t2 = _NOT_TRAINED
             tick += 1
             entry.last_use = tick
         self._tick = tick
@@ -315,7 +339,10 @@ class TailTable:
 
     @property
     def trained(self) -> bool:
-        return any(e.t1.prefetchable for e in self._entries)
+        for entry in self._entries:
+            if entry.t1 is not _NOT_TRAINED:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Durability (snapshot/restore — repro.serve journal, warm-start sweeps)
@@ -359,7 +386,10 @@ class TailTable:
         """Rebuild a table from :meth:`snapshot` output (exact state:
         entry order, train states, vote sets, LRU ticks and counters; the
         PC index is rebuilt entry by entry so the restored table walks —
-        and re-snapshots — byte-identically)."""
+        and re-snapshots — byte-identically).  A snapshot no live table
+        can reach — more entries than capacity, one ``(pc1, pc2,
+        stride)`` link twice, a warp vector outside 64 bits — raises
+        ``ValueError``."""
         if data.get("v") != SNAPSHOT_VERSION:
             raise ValueError(
                 "unsupported TailTable snapshot version %r" % (data.get("v"),)
@@ -378,6 +408,7 @@ class TailTable:
                 "TailTable snapshot holds %d entries > capacity %d"
                 % (len(entries), table.capacity)
             )
+        links = set()
         for raw in entries:
             entry = TailEntry(
                 pc1=int(raw["pc1"]),
@@ -396,6 +427,18 @@ class TailTable:
                 ),
                 last_use=int(raw["last_use"]),
             )
+            link = (entry.pc1, entry.pc2, entry.inter_thread_stride)
+            if link in links:
+                raise ValueError(
+                    "TailTable snapshot holds link (%#x->%#x, stride %d) twice"
+                    % link
+                )
+            links.add(link)
+            if not 0 <= entry.warp_vector < (1 << 64):
+                raise ValueError(
+                    "TailTable snapshot warp_vector %d outside its 64-bit field"
+                    % entry.warp_vector
+                )
             for stride, voters in raw["intra_votes"]:
                 pairs = {(int(stride), int(v)) for v in voters}
                 entry._intra_votes[int(stride)] = len(pairs)

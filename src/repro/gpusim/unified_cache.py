@@ -66,6 +66,15 @@ class StorageMode(enum.Enum):
     ISOLATED = "isolated"
 
 
+# The demand path and fills read members through module aliases (one dict
+# lookup instead of an enum class-attribute read per access).
+_HIT = L1Outcome.HIT
+_MISS = L1Outcome.MISS
+_RESERVED = L1Outcome.RESERVED
+_RESERVATION_FAIL = L1Outcome.RESERVATION_FAIL
+_DECOUPLED = StorageMode.DECOUPLED
+
+
 class UnifiedL1Cache:
     """Per-SM L1 data cache with a prefetch-aware storage policy."""
 
@@ -259,7 +268,7 @@ class UnifiedL1Cache:
         set_idx = store.set_index(line_addr)
         victim: Optional[LineState] = None
 
-        if self.mode is StorageMode.DECOUPLED:
+        if self.mode is _DECOUPLED:
             if store.set_is_full(set_idx):
                 victim = self._decoupled_victim(set_idx, now, is_prefetch)
             elif not is_prefetch and (
@@ -371,7 +380,7 @@ class UnifiedL1Cache:
             self.stats.l1_hits += 1
             self.stats.prefetch.demand_covered += 1
             self.stats.prefetch.demand_timely += 1
-            return L1Outcome.HIT, now + self._l1_latency
+            return _HIT, now + self._l1_latency
 
         state = self._store.touch(line_addr, now)
         if state is not None and not self._sectors_present(state, sector_mask):
@@ -393,7 +402,7 @@ class UnifiedL1Cache:
                             cycle=now, sm_id=self._sm_id, line_addr=line_addr
                         )
                     )
-            return L1Outcome.HIT, now + self._l1_latency
+            return _HIT, now + self._l1_latency
 
         if self._side_buffer is not None:
             side = self._side_buffer.touch(line_addr, now)
@@ -407,7 +416,7 @@ class UnifiedL1Cache:
                             cycle=now, sm_id=self._sm_id, line_addr=line_addr
                         )
                     )
-                return L1Outcome.HIT, now + self._l1_latency
+                return _HIT, now + self._l1_latency
 
         inflight = self._mshr.lookup(line_addr)
         if inflight is not None:
@@ -415,7 +424,7 @@ class UnifiedL1Cache:
             if merged is None:
                 self.stats.l1_reservation_fails += 1
                 return (
-                    L1Outcome.RESERVATION_FAIL,
+                    _RESERVATION_FAIL,
                     now + self._replay_interval,
                 )
             self.stats.l1_reserved += 1
@@ -431,7 +440,7 @@ class UnifiedL1Cache:
                 # was already reserved on the best-effort channel).
                 promoted = now + self._unloaded_round_trip()
                 self._mshr.reschedule(merged, promoted)
-            return L1Outcome.RESERVED, merged.fill_time + 1
+            return _RESERVED, merged.fill_time + 1
 
         if (
             self._mshr.full
@@ -444,7 +453,7 @@ class UnifiedL1Cache:
             )
         ):
             self.stats.l1_reservation_fails += 1
-            return L1Outcome.RESERVATION_FAIL, now + self._replay_interval
+            return _RESERVATION_FAIL, now + self._replay_interval
 
         self.stats.l1_misses += 1
         fill_time = self._send_to_l2(
@@ -452,7 +461,7 @@ class UnifiedL1Cache:
         )
         entry = self._mshr.allocate(line_addr, fill_time, is_prefetch=False)
         entry.sectors = sector_mask if self._sector_bytes else -1
-        return L1Outcome.MISS, fill_time + 1
+        return _MISS, fill_time + 1
 
     def _sectors_present(self, state: LineState, sector_mask: int) -> bool:
         """Does the resident line hold every requested sector?"""

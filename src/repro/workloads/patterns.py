@@ -36,6 +36,8 @@ LINE = 128  #: cache line size the configs use
 #: The generators' shared address-free instructions, keyed by the PCs
 #: their code emits.
 _ALU, _SFU, _BARRIER = map(PlainInstrs, (Op.ALU, Op.SFU, Op.BARRIER))
+#: ``Op`` members bound once: a module global reads faster than ``Op.LOAD``.
+_LOAD, _STORE = Op.LOAD, Op.STORE
 
 
 def array_base(index: int) -> int:
@@ -79,7 +81,7 @@ class WarpProgram:
         divergent: bool = False,
     ) -> "WarpProgram":
         self.instrs.append(
-            WarpInstr(pc, Op.LOAD, addr if addr > 0 else 0, thread_stride,
+            WarpInstr(pc, _LOAD, addr if addr > 0 else 0, thread_stride,
                       size, divergent)
         )
         return self
@@ -88,7 +90,7 @@ class WarpProgram:
         self, pc: int, addr: int, thread_stride: int = ELEM, size: int = ELEM
     ) -> "WarpProgram":
         self.instrs.append(
-            WarpInstr(pc, Op.STORE, addr if addr > 0 else 0, thread_stride, size)
+            WarpInstr(pc, _STORE, addr if addr > 0 else 0, thread_stride, size)
         )
         return self
 

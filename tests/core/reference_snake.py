@@ -1,11 +1,15 @@
 """Naive reference for Snake's training (§3.1) and prediction (§3.2).
 
 ``SnakePrefetcher._generate_raw`` walks a whole chain in one
-``TailTable.walk_raw`` call over the CAM index and skips deduplication
-when no address repeats.  The prediction functions
-below are the original shape it must match exactly: one
-``TailTable.find`` (one ``lookups`` tick) per fan-out and per hop, the
-best-confirmed link picked by a ``(has this warp, popcount)`` key, and
+``TailTable.walk_raw`` call over the CAM index: one pass over the
+trigger PC's bucket gives both the depth-1 fan-out and the first hop's
+best link, a loop is caught by a repeated hop origin PC, a one-entry
+bucket skips the tie-break key, and ``lookups`` is ticked once per walk.
+Deduplication builds one ``dict`` and only when an address repeats.
+The prediction functions below are the original shape it must match
+exactly: one ``TailTable.find`` (one ``lookups`` tick) per fan-out and
+per hop, the best-confirmed link picked by a ``(has this warp,
+popcount)`` key, a loop caught by a repeated ``(pc1, pc2)`` pair, and
 a first-seen deduplication pass over every ``(base_addr, depth)`` pair.
 
 ``SnakePrefetcher.observe`` trains and predicts in one body that

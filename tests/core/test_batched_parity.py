@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.snake import SnakePrefetcher
-from repro.core.tail_table import TrainState
+from repro.core.tail_table import TailEntry, TrainState
 from repro.gpusim import GPUConfig, simulate
 from repro.gpusim.sm import SM
 from repro.gpusim.trace import CTA, KernelTrace, Op, WarpInstr, WarpTrace, renumber_warps
@@ -205,6 +205,9 @@ class TestLearnerParity:
                         entry.t1 = TrainState.TRAINED
             assert production.observe(*event) == reference.observe(*event)
             assert _state(production) == _state(reference)
+            assert production.tail.trained == any(
+                e.t1.prefetchable for e in production.tail.entries()
+            )
 
     @settings(max_examples=15, deadline=None)
     @given(params=STREAMS, tail_entries=st.integers(2, 24))
@@ -228,6 +231,146 @@ class TestLearnerParity:
             for event in events[half:]:
                 assert clone.observe(*event) == learner.observe(*event)
             assert clone.snapshot() == learner.snapshot()
+
+
+def _link(pc1, pc2, stride, warps=0b111, trained=True):
+    """A Tail entry for a hand-built table: a trained (or untrained)
+    ``pc1 -> pc2`` link confirmed by the warps set in ``warps``."""
+    return TailEntry(
+        pc1=pc1, pc2=pc2, inter_thread_stride=stride, warp_vector=warps,
+        t1=TrainState.TRAINED if trained else TrainState.NOT_TRAINED,
+    )
+
+
+def _walk_both(links, pc, base_addr, warp_id=0, depth=8):
+    """``walk_raw`` and the reference's one-``find``-per-hop walk on one
+    table holding ``links`` in bucket order: asserts equal pairs and
+    equal ``lookups`` ticks, and returns ``(pairs, ticks)``."""
+    learner = SnakePrefetcher(
+        tail_entries=max(1, len(links)), max_chain_depth=depth,
+    )
+    for entry in links:
+        learner.tail._install(entry)
+    before = learner.tail.lookups
+    pairs = learner.tail.walk_raw(pc, base_addr, warp_id, depth)
+    ticks = learner.tail.lookups - before
+    before = learner.tail.lookups
+    assert pairs == reference_snake.chain_requests(
+        learner, warp_id, pc, base_addr
+    )
+    assert learner.tail.lookups - before == ticks
+    return pairs, ticks
+
+
+class TestWalkParity:
+    """Hand-built tables that put ``TailTable.walk_raw`` on each of its
+    edges — fused first-bucket pass, origin-PC loop check, single-entry
+    buckets, the flattened tie-break key — against the reference walk,
+    with the expected pairs and ``lookups`` ticks spelled out."""
+
+    def test_links_sharing_a_pc_pair_with_different_strides(self):
+        links = [
+            _link(0x10, 0x20, 100, warps=0b011),
+            _link(0x10, 0x20, 200, warps=0b111),
+            _link(0x20, 0x30, 50),
+        ]
+        assert _walk_both(links, 0x10, 1000) == (
+            [(1100, 1), (1200, 1), (1200, 1), (1250, 2)], 4,
+        )
+
+    def test_chain_looping_back_to_its_trigger(self):
+        links = [_link(0x10, 0x20, 8), _link(0x20, 0x30, 8),
+                 _link(0x30, 0x10, 8)]
+        assert _walk_both(links, 0x10, 0) == (
+            [(8, 1), (8, 1), (16, 2), (24, 3)], 5,
+        )
+
+    def test_chain_looping_to_a_mid_chain_pc(self):
+        links = [_link(0x10, 0x20, 8), _link(0x20, 0x30, 8),
+                 _link(0x30, 0x20, 8)]
+        assert _walk_both(links, 0x10, 0) == (
+            [(8, 1), (8, 1), (16, 2), (24, 3)], 5,
+        )
+
+    def test_self_link(self):
+        assert _walk_both([_link(0x10, 0x10, 64)], 0x10, 0) == (
+            [(64, 1), (64, 1)], 3,
+        )
+
+    def test_depth_limit_of_one(self):
+        links = [_link(0x10, 0x20, 8), _link(0x20, 0x30, 8)]
+        assert _walk_both(links, 0x10, 0, depth=1) == ([(8, 1), (8, 1)], 2)
+
+    @pytest.mark.parametrize("depth,ticks", [(16, 17), (20, 21), (24, 22)])
+    def test_maximum_depth(self, depth, ticks):
+        """A 20-link chain walked under a depth cap of 16 (stops at the
+        cap), 20 (the cap is the chain's end) and 24 (stops at the
+        chain's end after one more, empty, hop attempt)."""
+        links = [_link(0x10 + 4 * i, 0x14 + 4 * i, 8) for i in range(20)]
+        hops = [(8 * d, d) for d in range(1, min(depth, 20) + 1)]
+        assert _walk_both(links, 0x10, 0, depth=depth) == (
+            [(8, 1)] + hops, ticks,
+        )
+
+    def test_negative_fan_out_target(self):
+        """The below-0 fan-out target is dropped; the same link is the
+        best one, so the walk stops at its first hop."""
+        links = [_link(0x10, 0x20, -200, warps=0b111),
+                 _link(0x10, 0x30, 50, warps=0b110)]
+        assert _walk_both(links, 0x10, 100) == ([(150, 1)], 2)
+
+    def test_negative_cumulative_address_mid_chain(self):
+        links = [_link(0x10, 0x20, 100), _link(0x20, 0x30, -500),
+                 _link(0x30, 0x40, 1000)]
+        assert _walk_both(links, 0x10, 300) == ([(400, 1), (400, 1)], 3)
+
+    @pytest.mark.parametrize("hop", [1, 2])
+    def test_tie_keeps_the_first_entry_of_the_bucket(self, hop):
+        """Two links with the same (warp bit, popcount) key out of the
+        trigger PC (``hop`` 1) or a mid-chain PC (``hop`` 2): the first
+        one in the bucket wins, and the walk follows it."""
+        origin = 0x10 if hop == 1 else 0x20
+        links = [
+            _link(0x10, 0x20, 8, warps=0b0110) if hop == 2 else None,
+            _link(origin, 0x40, 16, warps=0b0110),
+            _link(origin, 0x50, 32, warps=0b1010),
+            _link(0x40, 0x60, 1),
+            _link(0x50, 0x60, 2),
+        ]
+        pairs, _ = _walk_both([e for e in links if e], 0x10, 0)
+        first = 16 if hop == 1 else 8 + 16
+        assert pairs[-1] == (first + 1, hop + 1)
+
+    def test_warp_bit_outranks_popcount(self):
+        links = [_link(0x10, 0x20, 8, warps=0b1110),
+                 _link(0x10, 0x30, 16, warps=(1 << 63) | 1)]
+        assert _walk_both(links, 0x10, 0, warp_id=64)[0] == [
+            (8, 1), (16, 1), (16, 1),
+        ]
+        assert _walk_both(links, 0x10, 0, warp_id=5)[0] == [
+            (8, 1), (16, 1), (8, 1),
+        ]
+
+    def test_bucket_mixing_trained_and_untrained_links(self):
+        """Untrained links neither fan out nor win a hop, whatever their
+        popcount, in the trigger bucket and in a mid-chain one; a lone
+        untrained link ends the walk."""
+        links = [
+            _link(0x10, 0x40, 1000, warps=(1 << 64) - 1, trained=False),
+            _link(0x10, 0x20, 8, warps=0b1),
+            _link(0x10, 0x30, 16, warps=0b1),
+            _link(0x20, 0x50, 2000, warps=(1 << 64) - 1, trained=False),
+            _link(0x20, 0x30, 4),
+            _link(0x30, 0x60, 3000, trained=False),
+        ]
+        assert _walk_both(links, 0x10, 0) == (
+            [(8, 1), (16, 1), (8, 1), (12, 2)], 4,
+        )
+
+    def test_untrained_trigger_bucket_walks_nothing(self):
+        links = [_link(0x10, 0x20, 8, trained=False), _link(0x20, 0x30, 8)]
+        assert _walk_both(links, 0x10, 0) == ([], 2)
+        assert _walk_both(links, 0x99, 0) == ([], 2)
 
 
 def _raw_stream(seed, length, pcs, warps, apps):

@@ -1,5 +1,7 @@
 """SnakePrefetcher behaviour on hand-built access streams."""
 
+import pytest
+
 from repro.core.snake import SnakePrefetcher
 
 
@@ -130,3 +132,32 @@ class TestFlags:
         snake = SnakePrefetcher()
         snake.observe(0, 0x10, 0)
         assert snake.table_accesses() > 0
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_train_threshold_below_one_rejected(self, threshold):
+        with pytest.raises(ValueError, match="train_threshold"):
+            SnakePrefetcher(train_threshold=threshold)
+
+    def test_negative_intra_degree_rejected(self):
+        with pytest.raises(ValueError, match="intra_degree"):
+            SnakePrefetcher(intra_degree=-1)
+
+    def test_negative_inter_warp_degree_rejected(self):
+        with pytest.raises(ValueError, match="inter_warp_degree"):
+            SnakePrefetcher(inter_warp_degree=-1)
+
+    @pytest.mark.parametrize("intra,inter", [(0, 0), (1, 0), (0, 1)])
+    def test_zero_degree_is_legal_and_silences_its_source(self, intra, inter):
+        """A degree of 0 switches that stride source's requests off; the
+        stream trains both sources, so a degree of 1 predicts."""
+        snake = SnakePrefetcher(
+            intra_degree=intra, inter_warp_degree=inter, use_chains=False,
+            train_threshold=1,
+        )
+        predicted = 0
+        for k in range(6):
+            for warp in range(4):
+                predicted += len(snake.observe(warp, 0x10, 4096 * warp + 64 * k))
+        assert (predicted > 0) == (intra + inter > 0)

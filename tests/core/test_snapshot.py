@@ -124,6 +124,24 @@ class TestTailTableSnapshot:
         with pytest.raises(ValueError):
             TailTable.restore(data)
 
+    def test_duplicate_link_rejected(self):
+        """``record`` matches on ``(pc1, pc2, stride)``, so no live table
+        holds one link twice."""
+        table = TailTable(capacity=4)
+        table.record(0, 1, 2, 4)
+        table.record(1, 1, 2, 8)
+        data = json_round_trip(table.snapshot())
+        data["entries"][1]["inter_thread_stride"] = 4
+        with pytest.raises(ValueError, match="twice"):
+            TailTable.restore(data)
+
+    @pytest.mark.parametrize("warp_vector", [-5, 1 << 64])
+    def test_warp_vector_outside_field_rejected(self, warp_vector):
+        data = self._stocked().snapshot()
+        data["entries"][0]["warp_vector"] = warp_vector
+        with pytest.raises(ValueError, match="warp_vector"):
+            TailTable.restore(data)
+
 
 class TestConsensusTrackerSnapshot:
     def test_round_trip(self):
@@ -175,6 +193,59 @@ class TestSnakeSnapshot:
         data["depth_limit"] = depth_limit
         with pytest.raises(ValueError, match="depth_limit"):
             SnakePrefetcher.restore(data)
+
+    def test_tail_config_mismatch_rejected(self):
+        """An app's Tail must have the learner's capacity and threshold
+        (``_select_app`` builds every table from the config)."""
+        data = SnakePrefetcher(tail_entries=10, train_threshold=3).snapshot()
+        data["app_tables"][0][2] = TailTable(
+            capacity=64, train_threshold=7
+        ).snapshot()
+        with pytest.raises(ValueError, match="disagree"):
+            SnakePrefetcher.restore(data)
+
+    @pytest.mark.parametrize("field,value", [
+        ("capacity", 64), ("train_threshold", 7), ("eviction", "pop"),
+    ])
+    def test_each_tail_config_field_checked(self, field, value):
+        data = SnakePrefetcher(per_app=True).snapshot()
+        data["app_tables"][0][2][field] = value
+        with pytest.raises(ValueError, match="disagree"):
+            SnakePrefetcher.restore(data)
+
+    def test_head_capacity_mismatch_rejected(self):
+        data = SnakePrefetcher(head_entries=32).snapshot()
+        data["app_tables"][0][1]["capacity"] = 8
+        with pytest.raises(ValueError, match="disagree"):
+            SnakePrefetcher.restore(data)
+
+    def test_more_than_two_iw_slots_rejected(self):
+        """``observe`` trims the slot list to two after each append, so a
+        restored list of five would stay at five."""
+        data = SnakePrefetcher().snapshot()
+        data["iw_last"] = [[0, 0x10, [[w, 64 * w] for w in range(5)]]]
+        with pytest.raises(ValueError, match="slots"):
+            SnakePrefetcher.restore(data)
+
+    def test_tracker_threshold_mismatch_rejected(self):
+        data = SnakePrefetcher(train_threshold=3).snapshot()
+        data["iw_consensus"] = [
+            [0, 0x10, ConsensusTracker(threshold=1).snapshot()]
+        ]
+        with pytest.raises(ValueError, match="threshold"):
+            SnakePrefetcher.restore(data)
+
+    def test_consistent_parts_restore(self):
+        """The checks admit a learner's own parts: two slots and a tracker
+        at the learner's threshold."""
+        snake = SnakePrefetcher(train_threshold=2)
+        for warp in range(4):
+            snake.observe(warp, 0x10, 4096 * warp)
+        image = json_round_trip(snake.snapshot())
+        assert [len(slots) for _, _, slots in image["iw_last"]] == [2]
+        assert image["iw_consensus"][0][2]["threshold"] == 2
+        restored = SnakePrefetcher.restore(image)
+        assert canonical(restored.snapshot()) == canonical(snake.snapshot())
 
     def test_app_zero_required(self):
         data = SnakePrefetcher().snapshot()

@@ -162,6 +162,13 @@ class TestEviction:
         with pytest.raises(ValueError):
             TailTable(capacity=0)
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_rejects_threshold_below_one(self, threshold):
+        """A threshold below one would promote a link no warp confirmed;
+        ``GPUConfig.validate`` rejects the same values."""
+        with pytest.raises(ValueError, match="train_threshold"):
+            TailTable(train_threshold=threshold)
+
     @settings(max_examples=50)
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20),
                               st.integers(0, 20), st.integers(-500, 500)),
