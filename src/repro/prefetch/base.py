@@ -79,6 +79,15 @@ class CompositePrefetcher(Prefetcher):
                     unique.append(pair)
         return unique
 
+    def set_depth_limit(self, limit: int) -> None:
+        """Throttle hook (§3.2): forward the chain-depth cap to every part
+        that takes one (a Snake part); parts without a chain walk have
+        nothing to cap."""
+        for part in self.parts:
+            set_limit = getattr(part, "set_depth_limit", None)
+            if set_limit is not None:
+                set_limit(limit)
+
     def tables(self) -> List[Tuple[int, Any, Any]]:
         """Every part's ``(app_id, head, tail)`` tables, in part order, so
         the sanitizer and the fault injector reach a Snake inside the

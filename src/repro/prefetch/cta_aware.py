@@ -42,9 +42,11 @@ class CTAAwarePrefetcher(Prefetcher):
         history = self._base.setdefault(pc, {})
         if cta_id not in history:
             history[cta_id] = base_addr
-            tracker = self._consensus.setdefault(
-                pc, ConsensusTracker(threshold=self.train_threshold)
-            )
+            tracker = self._consensus.get(pc)
+            if tracker is None:
+                tracker = self._consensus[pc] = ConsensusTracker(
+                    threshold=self.train_threshold
+                )
             # CTAs are distributed over SMs, so the previous CTA this SM saw
             # may be several ids back; normalize the delta by the id gap.
             lower = [c for c in history if c < cta_id]

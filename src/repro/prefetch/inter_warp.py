@@ -35,9 +35,11 @@ class InterWarpPrefetcher(Prefetcher):
     ) -> List[Tuple[int, int]]:
         self._accesses += 1
         history = self._last_by_pc.setdefault(pc, {})
-        tracker = self._consensus.setdefault(
-            pc, ConsensusTracker(threshold=self.train_threshold)
-        )
+        tracker = self._consensus.get(pc)
+        if tracker is None:
+            tracker = self._consensus[pc] = ConsensusTracker(
+                threshold=self.train_threshold
+            )
 
         # Vote using the nearest lower warp that already executed this PC.
         lower = [w for w in history if w < warp_id]

@@ -30,7 +30,9 @@ class IntraWarpPrefetcher(Prefetcher):
     ) -> List[Tuple[int, int]]:
         self._accesses += 1
         key = (warp_id, pc)
-        tracker = self._trackers.setdefault(key, StrideTracker())
+        tracker = self._trackers.get(key)
+        if tracker is None:
+            tracker = self._trackers[key] = StrideTracker()
         stride = tracker.update(base_addr)
         if stride is None:
             return []

@@ -139,6 +139,11 @@ class StrideFallback:
     @classmethod
     def restore(cls, capacity: int, degree: int,
                 data: List[List[Any]]) -> "StrideFallback":
+        if len(data) > capacity:
+            raise ValueError(
+                "fallback snapshot holds %d trackers, capacity is %d"
+                % (len(data), capacity)
+            )
         fallback = cls(capacity, degree)
         for warp, pc, last_addr, stride, confirmations in data:
             fallback._trackers[(int(warp), int(pc))] = StrideTracker(
@@ -268,6 +273,11 @@ class ClientSession:
                 "session snapshot holds %d shards, config says %d"
                 % (len(session.shards), config.shards)
             )
+        if len(session.breakers) != config.shards:
+            raise ValueError(
+                "session snapshot holds %d breakers, config says %d shards"
+                % (len(session.breakers), config.shards)
+            )
         session.fallback = StrideFallback.restore(
             config.fallback_capacity, config.fallback_degree, data["fallback"]
         )
@@ -285,7 +295,7 @@ class AdmitResult:
     reason: str = ""            # "busy" on denial
 
 
-@dataclass
+@dataclass(slots=True)
 class ApplyResult:
     predictions: List[int] = field(default_factory=list)
     degraded: bool = False
@@ -365,28 +375,37 @@ class ServiceState:
         session = self.sessions.get(client)
         if session is None:
             return None
-        self.seq += 1
-        session.last_active = self.seq
-        session.applied += 1
-        self.counters["applied"] += 1
+        config = self.config
+        counters = self.counters
+        seq = self.seq = self.seq + 1
+        session.last_active = seq
+        applied = session.applied = session.applied + 1
+        counters["applied"] += 1
 
-        shard_index = pc % self.config.shards
+        shard_index = pc % config.shards
         breaker = session.breakers[shard_index]
-        result = ApplyResult(shard=shard_index)
-        learner_predictions: List[int] = []
-        # The half-open trial opens here and MUST be settled by on_ok /
-        # on_fault on every path (SL703); nothing that can raise may sit
-        # between opening it and entering the try block.
-        from_learner = breaker.answer_from_learner(
-            self.seq, self.config.breaker_cooldown
+        fault = ""
+        breaker_opened = breaker_closed = False
+        # Steady state: a closed breaker with no failures answers from the
+        # learner, and ``on_ok`` would leave it exactly as it is, so both
+        # calls are skipped.  Any other breaker is asked, and its answer
+        # is settled through ``on_ok`` or ``on_fault``.
+        from_learner = steady = (
+            breaker.state == "closed" and not breaker.failures
         )
+        trial = False
+        if not steady:
+            # The half-open trial opens here and MUST be settled by on_ok /
+            # on_fault on every path (SL703); nothing that can raise may
+            # sit between opening it and entering the try block.
+            trial = breaker.answer_from_learner(seq, config.breaker_cooldown)
         try:
             learner = session.shards[shard_index]
-            learner_predictions = [
+            learner_predictions: List[int] = [
                 target for target, _ in
-                learner.observe(warp, pc, addr, app, False, self.seq)
+                learner.observe(warp, pc, addr, app, False, seq)
             ]
-            if session.applied % self.config.audit_every == 0:
+            if applied % config.audit_every == 0:
                 violations: List[str] = []
                 for app_id, head, tail in learner.tables():
                     violations.extend(
@@ -404,26 +423,26 @@ class ServiceState:
             # retrains from live traffic while the breaker serves fallback
             # answers).  Deterministic: the same state and input fault
             # identically during journal replay.
-            result.breaker_opened = breaker.on_fault(
-                self.seq, self.config.breaker_threshold
-            )
-            result.fault = "%s: %s" % (type(exc).__name__, exc)
-            session.shards[shard_index] = self.config.make_learner()
+            breaker_opened = breaker.on_fault(seq, config.breaker_threshold)
+            fault = "%s: %s" % (type(exc).__name__, exc)
+            session.shards[shard_index] = config.make_learner()
             session.faults += 1
-            self.counters["faults"] += 1
+            counters["faults"] += 1
             from_learner = False
         else:
-            if from_learner:
-                result.breaker_closed = breaker.on_ok()
+            if trial:
+                breaker_closed = breaker.on_ok()
+                from_learner = True
 
-        session.fallback.update(warp, pc, addr)
+        fallback = session.fallback
+        fallback.update(warp, pc, addr)
         if from_learner:
-            result.predictions = learner_predictions
-        else:
-            result.predictions = session.fallback.predict(warp, pc, addr)
-            result.degraded = True
-            self.counters["degraded"] += 1
-        return result
+            return ApplyResult(learner_predictions, False, shard_index,
+                               fault, breaker_opened, breaker_closed)
+        counters["degraded"] += 1
+        return ApplyResult(fallback.predict(warp, pc, addr), True,
+                           shard_index, fault, breaker_opened,
+                           breaker_closed)
 
     def apply_batch(
         self, records: List[Tuple[str, int, int, int, int]]

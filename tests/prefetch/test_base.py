@@ -167,6 +167,48 @@ class TestBuildSetup:
         setup = build_setup("snake", GPUConfig.scaled())
         assert setup.prefetcher_factory() is not setup.prefetcher_factory()
 
+    def test_snake_cta_forwards_the_throttle_depth_cap(self):
+        """§3.2's chain-depth cap reaches the Snake inside snake+cta: the
+        Snake part receives every cap the throttle computes, in order."""
+        from repro.core.snake import SnakePrefetcher
+        from repro.gpusim.gpu import GPU
+        from repro.workloads import build_kernel
+
+        setup = build_setup("snake+cta", GPUConfig.scaled())
+        computed, received = [], []
+
+        def throttle_factory():
+            throttle = setup.throttle_factory()
+            chain_depth_limit = throttle.chain_depth_limit
+
+            def spy(utilization, max_depth):
+                computed.append(chain_depth_limit(utilization, max_depth))
+                return computed[-1]
+
+            throttle.chain_depth_limit = spy
+            return throttle
+
+        def prefetcher_factory():
+            composite = setup.prefetcher_factory()
+            (snake,) = [part for part in composite.parts
+                        if isinstance(part, SnakePrefetcher)]
+            set_depth_limit = snake.set_depth_limit
+
+            def spy(limit):
+                received.append(limit)
+                set_depth_limit(limit)
+
+            snake.set_depth_limit = spy
+            return composite
+
+        GPU(
+            config=setup.config,
+            prefetcher_factory=prefetcher_factory,
+            throttle_factory=throttle_factory,
+            storage_mode=setup.storage_mode,
+        ).run(build_kernel("lps", scale=0.1, seed=1))
+        assert computed and received == computed
+
 
 class TestLineSize:
     """The line-granular baselines take the L1's configured line size."""

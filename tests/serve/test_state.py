@@ -258,6 +258,33 @@ def test_fallback_lru_bound():
     assert restored.snapshot() == fallback.snapshot()
 
 
+def test_fallback_restore_refuses_more_trackers_than_capacity():
+    fallback = StrideFallback(capacity=16, degree=1)
+    for pc in range(10):
+        fallback.update(0, pc, 64 * pc)
+    with pytest.raises(ValueError, match="capacity"):
+        StrideFallback.restore(4, 1, fallback.snapshot())
+    # Through the service: the snapshot's config caps the fallback.
+    state = ServiceState(ServeConfig(fallback_capacity=16))
+    state.admit("c")
+    for pc in range(10):
+        state.apply("c", 0, pc, 64 * pc)
+    image = state.snapshot()
+    image["config"]["fallback_capacity"] = 4
+    with pytest.raises(ValueError, match="capacity"):
+        ServiceState.restore(image)
+
+
+def test_session_restore_refuses_breaker_count_mismatch():
+    state = ServiceState(ServeConfig(shards=4))
+    state.admit("c")
+    state.apply("c", 0, 3, 4096)
+    image = json.loads(json.dumps(state.snapshot()))
+    del image["sessions"][0][1]["breakers"][-1]   # 3 breakers, 4 shards
+    with pytest.raises(ValueError, match="breakers"):
+        ServiceState.restore(image)
+
+
 # ---------------------------------------------------------------------------
 # Config validation
 
