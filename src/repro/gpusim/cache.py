@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .config import CacheConfig
@@ -52,6 +53,7 @@ class SetAssocCache:
         # ``set_index`` runs on every tag access.
         self._line_bytes = config.line_bytes
         self._set_count = config.num_sets
+        self._assoc = config.assoc
         # Each set is an OrderedDict addr -> LineState in LRU order
         # (oldest first).
         self._sets: List["OrderedDict[int, LineState]"] = [
@@ -101,15 +103,6 @@ class SetAssocCache:
         """Lines of a set in LRU order (oldest first)."""
         return list(self._sets[set_idx].values())
 
-    def set_is_full(self, set_idx: int) -> bool:
-        return len(self._sets[set_idx]) >= self.config.assoc
-
-    def lru_victim(self, set_idx: int) -> Optional[LineState]:
-        cache_set = self._sets[set_idx]
-        if not cache_set:
-            return None
-        return next(iter(cache_set.values()))
-
     def evict(self, line_addr: int) -> Optional[LineState]:
         evicted = self._flat.pop(line_addr, None)
         if evicted is not None:
@@ -127,24 +120,27 @@ class SetAssocCache:
         now: int,
         is_prefetch: bool = False,
         victim: Optional[LineState] = None,
+        set_idx: Optional[int] = None,
     ) -> Optional[LineState]:
         """Insert a line, evicting ``victim`` (or plain LRU) if the set is
-        full.  Returns the evicted line, if any."""
-        set_idx = self.set_index(line_addr)
+        full.  Returns the evicted line, if any.  A caller that already
+        hashed the line passes its ``set_idx``."""
+        if set_idx is None:
+            set_idx = self.set_index(line_addr)
         cache_set = self._sets[set_idx]
-        if line_addr in cache_set:
+        state = cache_set.get(line_addr)
+        if state is not None:
             # Re-fill of a resident line: refresh metadata only.
-            state = cache_set[line_addr]
             cache_set.move_to_end(line_addr)
             state.last_use = now
             return None
         evicted = None
-        if len(cache_set) >= self.config.assoc:
+        if len(cache_set) >= self._assoc:
             if victim is None:
-                victim = self.lru_victim(set_idx)
-            assert victim is not None
-            evicted = cache_set.pop(victim.addr)
-            del self._flat[victim.addr]
+                evicted = cache_set.popitem(last=False)[1]  # LRU
+            else:
+                evicted = cache_set.pop(victim.addr)
+            del self._flat[evicted.addr]
             self._occupancy -= 1
             if evicted.is_prefetch and not evicted.used:
                 self._prefetch_unused -= 1
@@ -245,6 +241,9 @@ class MSHREntry:
     seq: int = 0  # allocation order, so retirement order matches it
 
 
+_BY_SEQ = attrgetter("seq")
+
+
 class MSHR:
     """Miss Status Holding Register file with bounded merge width.
 
@@ -288,9 +287,10 @@ class MSHR:
     def allocate(
         self, line_addr: int, fill_time: int, is_prefetch: bool = False
     ) -> MSHREntry:
-        if self.full:
+        inflight = self._inflight
+        if len(inflight) >= self.entries:
             raise RuntimeError("MSHR allocate on full file")
-        if line_addr in self._inflight:
+        if line_addr in inflight:
             raise RuntimeError("MSHR double allocate for line %#x" % line_addr)
         entry = MSHREntry(
             line_addr=line_addr,
@@ -298,7 +298,7 @@ class MSHR:
             is_prefetch=is_prefetch,
             seq=self.allocated,
         )
-        self._inflight[line_addr] = entry
+        inflight[line_addr] = entry
         heapq.heappush(self._fill_heap, (fill_time, line_addr))
         self.allocated += 1
         return entry
@@ -344,7 +344,7 @@ class MSHR:
                 filled.append(entry)
         self.released += len(filled)
         if len(filled) > 1:
-            filled.sort(key=lambda e: e.seq)
+            filled.sort(key=_BY_SEQ)
         return filled
 
     def entries_inflight(self) -> List[MSHREntry]:

@@ -18,7 +18,7 @@ from .config import DRAMTimings
 from .faults import FaultInjector
 
 
-@dataclass
+@dataclass(slots=True)
 class _BankState:
     open_row: int = -1
     next_free: int = 0
@@ -30,7 +30,7 @@ class _BankState:
     last_priority_activate: int = -(10**9)
 
 
-@dataclass
+@dataclass(slots=True)
 class _ChannelState:
     next_free: int = 0
     priority_next_free: int = 0
@@ -65,6 +65,10 @@ class DRAM:
             _ChannelState(banks=[_BankState() for _ in range(banks_per_channel)])
             for _ in range(channels)
         ]
+        # Address-map geometry read once: ``access`` runs on every L2 miss.
+        self._channel_count = channels
+        self._bank_count = banks_per_channel
+        self._row_span = row_bytes * channels
         self.reads = 0
         self.row_hits = 0
         self.row_misses = 0
@@ -85,14 +89,6 @@ class DRAM:
     def _core_cycles(self, mem_cycles: int) -> int:
         return max(1, round(mem_cycles / self.clock_ratio))
 
-    def _map(self, line_addr: int) -> "tuple[int, int, _BankState, int]":
-        line_no = line_addr // self.line_bytes
-        ch_idx = line_no % len(self._channels)
-        channel = self._channels[ch_idx]
-        bank_no = (line_no // len(self._channels)) % len(channel.banks)
-        row = line_addr // (self.row_bytes * len(self._channels))
-        return ch_idx, bank_no, channel.banks[bank_no], row
-
     def access(
         self, line_addr: int, now: int, is_write: bool = False,
         priority: bool = True,
@@ -100,8 +96,14 @@ class DRAM:
         """Service one line transfer; returns its completion time (core
         cycles).  Demand requests (``priority=True``) schedule ahead of
         best-effort prefetch traffic, which queues behind everything."""
-        ch_idx, bank_no, bank, row = self._map(line_addr)
+        # Lines interleave across channels, then banks; a row spans
+        # ``row_bytes`` in every channel.
+        line_no = line_addr // self.line_bytes
+        ch_idx = line_no % self._channel_count
         channel = self._channels[ch_idx]
+        bank_no = line_no // self._channel_count % self._bank_count
+        bank = channel.banks[bank_no]
+        row = line_addr // self._row_span
         if priority:
             start = max(now, bank.priority_next_free, channel.priority_next_free)
         else:

@@ -8,7 +8,6 @@ Snake's bandwidth-triggered throttling (§3.3).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Deque, Tuple
 
@@ -47,19 +46,26 @@ class Interconnect:
         """
         if nbytes < 1:
             raise ValueError("transfer must carry at least one byte")
-        busy = math.ceil(nbytes / self.bytes_per_cycle)
+        busy = -(-nbytes // self.bytes_per_cycle)  # integer ceil
+        start = now
         if priority:
-            start = max(now, self.priority_next_free)
-            self.priority_next_free = start + busy
-            self.next_free = max(self.next_free, start + busy)
+            if self.priority_next_free > start:
+                start = self.priority_next_free
+            end = start + busy
+            self.priority_next_free = end
+            if end > self.next_free:
+                self.next_free = end
         else:
-            start = max(now, self.next_free)
-            self.next_free = start + busy
-            self.priority_next_free = max(self.priority_next_free, now)
+            if self.next_free > start:
+                start = self.next_free
+            end = start + busy
+            self.next_free = end
+            if now > self.priority_next_free:
+                self.priority_next_free = now
         self.bytes_transferred += nbytes
         self._recent.append((start, nbytes))
         self._recent_bytes += nbytes
-        return start + busy + self.latency
+        return end + self.latency
 
     def measured_utilization(self, now: int) -> float:
         """Fraction of peak bandwidth used over the trailing window — the

@@ -36,6 +36,10 @@ class L2Cache:
         self.config = config
         self.dram = dram
         self._store = SetAssocCache(config)
+        # Geometry and latency read once: ``access`` runs on every L1 miss.
+        self._line_bytes = config.line_bytes
+        self._banks = banks
+        self._latency = config.latency
         self._bank_next_free = [0] * banks
         self._bank_priority_next_free = [0] * banks
         self._inflight: Dict[int, int] = {}  # line -> fill time
@@ -46,9 +50,6 @@ class L2Cache:
         self.hits = 0
         self.misses = 0
 
-    def _bank_of(self, line_addr: int) -> int:
-        return (line_addr // self.config.line_bytes) % len(self._bank_next_free)
-
     def access(
         self, line_addr: int, now: int, is_write: bool = False,
         priority: bool = True,
@@ -56,7 +57,9 @@ class L2Cache:
         """Service a request arriving at time ``now``; returns the time the
         data is ready to travel back to the requesting L1.  Demand requests
         (``priority=True``) schedule ahead of best-effort prefetches."""
-        bank = self._bank_of(line_addr)
+        bank = line_addr // self._line_bytes % self._banks
+        latency = self._latency
+        bank_next_free = self._bank_next_free
         # Chaos l2.latency_spike: extra service latency on the *returned*
         # ready time only — bank horizons are untouched, so the shared
         # scheduling state (and its monotonicity invariants) is unaffected.
@@ -64,23 +67,28 @@ class L2Cache:
         if self._faults is not None:
             spike = self._faults.delay("l2.latency_spike", now)
         if priority:
-            start = max(now, self._bank_priority_next_free[bank])
-            self._bank_priority_next_free[bank] = start + _BANK_SERVICE_CYCLES
+            priority_next_free = self._bank_priority_next_free
+            start = priority_next_free[bank]
+            if now > start:
+                start = now
+            priority_next_free[bank] = start + _BANK_SERVICE_CYCLES
         else:
-            start = max(now, self._bank_next_free[bank])
-        self._bank_next_free[bank] = max(
-            self._bank_next_free[bank], start + _BANK_SERVICE_CYCLES
-        )
+            start = bank_next_free[bank]
+            if now > start:
+                start = now
+        if start + _BANK_SERVICE_CYCLES > bank_next_free[bank]:
+            bank_next_free[bank] = start + _BANK_SERVICE_CYCLES
 
         # Drop completed in-flight entries lazily via the fill heap; an
         # address re-inserted with a later fill time leaves a superseded
         # heap entry behind, which the dict check skips.
+        inflight = self._inflight
         heap = self._inflight_heap
         while heap and heap[0][0] <= now:
             _, addr = heapq.heappop(heap)
-            t = self._inflight.get(addr)
+            t = inflight.get(addr)
             if t is not None and t <= now:
-                del self._inflight[addr]
+                del inflight[addr]
 
         if self._store.touch(line_addr, start) is not None:
             self.hits += 1
@@ -90,26 +98,24 @@ class L2Cache:
                         cycle=now, sm_id=-1, line_addr=line_addr, hit=True
                     )
                 )
-            return start + self.config.latency + spike
+            return start + latency + spike
 
-        pending = self._inflight.get(line_addr)
-        if pending is not None and self._obs.enabled:
-            self._obs.emit(
-                L2AccessEvent(cycle=now, sm_id=-1, line_addr=line_addr, hit=True)
-            )
+        pending = inflight.get(line_addr)
         if pending is not None:
+            if self._obs.enabled:
+                self._obs.emit(L2AccessEvent(
+                    cycle=now, sm_id=-1, line_addr=line_addr, hit=True
+                ))
             # Merge with an in-flight miss.  A demand (priority) request
             # promotes a starved best-effort prefetch: the memory controller
-            # re-schedules the transfer at demand priority, so the data
-            # arrives no later than a fresh access would.
+            # re-prioritizes the transfer, so it completes no later than an
+            # access starting with this one's bank slot (``start >= now``).
             self.hits += 1
-            merged = max(pending, start + self.config.latency)
-            if priority:
-                # Demand promotion of an in-flight best-effort fill: the
-                # memory controller re-prioritizes the transfer, so it
-                # completes no later than an unloaded access from now.
-                promoted = start + self.config.latency + _BANK_SERVICE_CYCLES
-                merged = min(merged, max(promoted, now + self.config.latency))
+            merged = start + latency
+            if pending > merged:
+                merged = pending
+                if priority and merged > start + latency + _BANK_SERVICE_CYCLES:
+                    merged = start + latency + _BANK_SERVICE_CYCLES
             return merged + spike
 
         self.misses += 1
@@ -118,13 +124,12 @@ class L2Cache:
                 L2AccessEvent(cycle=now, sm_id=-1, line_addr=line_addr, hit=False)
             )
         fill_time = self.dram.access(
-            line_addr, start + _BANK_SERVICE_CYCLES, is_write=is_write,
-            priority=priority,
+            line_addr, start + _BANK_SERVICE_CYCLES, is_write, priority
         )
         self._store.insert(line_addr, fill_time)
-        self._inflight[line_addr] = fill_time
-        heapq.heappush(self._inflight_heap, (fill_time, line_addr))
-        return fill_time + self.config.latency + spike
+        inflight[line_addr] = fill_time
+        heapq.heappush(heap, (fill_time, line_addr))
+        return fill_time + latency + spike
 
     @property
     def hit_rate(self) -> float:

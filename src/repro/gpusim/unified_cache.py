@@ -110,6 +110,10 @@ class UnifiedL1Cache:
         self._l1_latency = config.l1.latency
         self._replay_interval = config.replay_interval
         self._sector_bytes = config.l1_sector_bytes
+        self._line_bytes = config.l1.line_bytes
+        self._assoc = config.l1.assoc
+        self._mshr_entries = config.mshr_entries
+        self._miss_queue_depth = config.miss_queue_depth
         # Leave headroom for demand misses: prefetches may not take the last
         # quarter of the MSHR nor the last miss-queue slot.
         self._pf_mshr_cap = max(1, (config.mshr_entries * 3) // 4)
@@ -150,9 +154,6 @@ class UnifiedL1Cache:
     @property
     def line_bytes(self) -> int:
         return self.config.l1.line_bytes
-
-    def line_of(self, addr: int) -> int:
-        return addr - (addr % self.line_bytes)
 
     def _commit_fills(self, now: int) -> None:
         # Hot-path early exit: on most calls nothing has filled and the
@@ -200,11 +201,6 @@ class UnifiedL1Cache:
         while self._miss_queue and self._miss_queue[0] <= now:
             self._miss_queue.popleft()
 
-    def _miss_queue_full(self, now: int) -> bool:
-        while self._miss_queue and self._miss_queue[0] <= now:
-            self._miss_queue.popleft()
-        return len(self._miss_queue) >= self.config.miss_queue_depth
-
     def _send_to_l2(
         self,
         line_addr: int,
@@ -220,18 +216,15 @@ class UnifiedL1Cache:
         must not slow demand responses down).
         """
         priority = not is_prefetch
-        request_arrival = self._icnt_req.send(
-            now, _REQUEST_BYTES, priority=priority
-        )
+        icnt_req = self._icnt_req
+        request_arrival = icnt_req.send(now, _REQUEST_BYTES, priority)
         # The miss-queue entry drains when the NoC accepts the request.
-        self._miss_queue.append(self._icnt_req.next_free)
-        self.stats.icnt_bytes += _REQUEST_BYTES
-        l2_ready = self._l2.access(
-            line_addr, request_arrival, is_write=is_write, priority=priority
-        )
-        fill_bytes = nbytes if nbytes is not None else self.line_bytes
-        fill_time = self._icnt_resp.send(l2_ready, fill_bytes, priority=priority)
-        self.stats.icnt_bytes += fill_bytes
+        self._miss_queue.append(icnt_req.next_free)
+        l2_ready = self._l2.access(line_addr, request_arrival, is_write, priority)
+        if nbytes is None:
+            nbytes = self._line_bytes
+        fill_time = self._icnt_resp.send(l2_ready, nbytes, priority)
+        self.stats.icnt_bytes += _REQUEST_BYTES + nbytes
         if is_prefetch and self._faults is not None:
             # Chaos icnt.delay_fill: the best-effort fill dawdles in the NoC.
             fill_time += self._faults.delay("icnt.delay_fill", now, self._sm_id)
@@ -269,7 +262,7 @@ class UnifiedL1Cache:
         victim: Optional[LineState] = None
 
         if self.mode is _DECOUPLED:
-            if store.set_is_full(set_idx):
+            if len(store._sets[set_idx]) >= self._assoc:
                 victim = self._decoupled_victim(set_idx, now, is_prefetch)
             elif not is_prefetch and (
                 not self.prefetcher_trained or now < self.throttled_until
@@ -279,7 +272,7 @@ class UnifiedL1Cache:
                 # rest being reserved for prefetched data (§3.2).  The set
                 # is not full, so the tag store will not evict on insert —
                 # recycle the demand-side LRU line explicitly.
-                half = max(1, self.config.l1.assoc // 2)
+                half = max(1, self._assoc // 2)
                 oldest: Optional[LineState] = None
                 held = 0
                 for line in store._sets[set_idx].values():  # LRU order
@@ -291,14 +284,18 @@ class UnifiedL1Cache:
                             self._evict_line(oldest)
                             break
 
-        evicted = store.insert(line_addr, now, is_prefetch=is_prefetch, victim=victim)
+        evicted = store.insert(line_addr, now, is_prefetch, victim, set_idx)
         if self._sector_bytes:
             line = store.lookup(line_addr)
             if line is not None and line.sectors_valid != -1:
                 line.sectors_valid |= sectors if sectors != -1 else -1
             elif line is not None:
                 line.sectors_valid = sectors
-        self._decay_transfer_counters()
+        # Halve the transfer-ratio counters periodically so the 80 % rule
+        # follows the prefetcher's recent behaviour.
+        if self._prefetch_inserted >= 256:
+            self._prefetch_inserted //= 2
+            self._prefetch_transferred //= 2
         if is_prefetch:
             self._prefetch_inserted += 1
         if evicted is not None and evicted.is_prefetch and not evicted.used:
@@ -355,13 +352,6 @@ class UnifiedL1Cache:
         assert victim is not None  # the set is full
         return victim
 
-    def _decay_transfer_counters(self) -> None:
-        """Halve the transfer-ratio counters periodically so the 80 % rule
-        follows the prefetcher's recent behaviour."""
-        if self._prefetch_inserted >= 256:
-            self._prefetch_inserted //= 2
-            self._prefetch_transferred //= 2
-
     # ------------------------------------------------------------------
     # Demand path
 
@@ -382,8 +372,12 @@ class UnifiedL1Cache:
             self.stats.prefetch.demand_timely += 1
             return _HIT, now + self._l1_latency
 
+        sectored = self._sector_bytes
         state = self._store.touch(line_addr, now)
-        if state is not None and not self._sectors_present(state, sector_mask):
+        if (
+            state is not None and sectored
+            and not self._sectors_present(state, sector_mask)
+        ):
             # sector miss: the line is resident but these sectors are not
             state = None
         if state is not None:
@@ -418,9 +412,10 @@ class UnifiedL1Cache:
                     )
                 return _HIT, now + self._l1_latency
 
-        inflight = self._mshr.lookup(line_addr)
-        if inflight is not None:
-            merged = self._mshr.try_merge(line_addr, is_demand=True)
+        mshr = self._mshr
+        inflight = mshr._inflight
+        if line_addr in inflight:
+            merged = mshr.try_merge(line_addr, True)
             if merged is None:
                 self.stats.l1_reservation_fails += 1
                 return (
@@ -439,12 +434,14 @@ class UnifiedL1Cache:
                 # fresh unloaded demand round trip from now (its bandwidth
                 # was already reserved on the best-effort channel).
                 promoted = now + self._unloaded_round_trip()
-                self._mshr.reschedule(merged, promoted)
+                mshr.reschedule(merged, promoted)
             return _RESERVED, merged.fill_time + 1
 
+        # ``_commit_fills(now)`` above drained every miss-queue entry due
+        # by ``now``, so the queue's length is its occupancy.
         if (
-            self._mshr.full
-            or self._miss_queue_full(now)
+            len(inflight) >= self._mshr_entries
+            or len(self._miss_queue) >= self._miss_queue_depth
             or (
                 self._faults is not None
                 and self._faults.fires(
@@ -457,24 +454,28 @@ class UnifiedL1Cache:
 
         self.stats.l1_misses += 1
         fill_time = self._send_to_l2(
-            line_addr, now, is_write=False, nbytes=self._fetch_bytes(sector_mask)
+            line_addr, now, False, False,
+            self._fetch_bytes(sector_mask) if sectored else None,
         )
-        entry = self._mshr.allocate(line_addr, fill_time, is_prefetch=False)
-        entry.sectors = sector_mask if self._sector_bytes else -1
+        entry = mshr.allocate(line_addr, fill_time, False)
+        if sectored:
+            entry.sectors = sector_mask
         return _MISS, fill_time + 1
 
     def _sectors_present(self, state: LineState, sector_mask: int) -> bool:
-        """Does the resident line hold every requested sector?"""
-        if not self._sector_bytes or sector_mask == -1:
+        """Does the resident line of a sectored L1 hold every requested
+        sector?"""
+        if sector_mask == -1:
             return True
         if state.sectors_valid == -1:
             return True
         return (state.sectors_valid & sector_mask) == sector_mask
 
     def _fetch_bytes(self, sector_mask: int) -> Optional[int]:
-        """Transfer size for a demand fill (None = whole line)."""
+        """Transfer size for a sectored L1's demand fill (None = whole
+        line)."""
         sector = self._sector_bytes
-        if not sector or sector_mask == -1:
+        if sector_mask == -1:
             return None
         return max(sector, (sector_mask & ((1 << 64) - 1)).bit_count() * sector)
 
@@ -638,10 +639,8 @@ class UnifiedL1Cache:
                     # L2 and the cross-layer request conservation stays exact.
                     reason = "fault"
                 else:
-                    fill_time = self._send_to_l2(
-                        line_addr, issue_at, is_write=False, is_prefetch=True
-                    )
-                    entry = self._mshr.allocate(line_addr, fill_time, is_prefetch=True)
+                    fill_time = self._send_to_l2(line_addr, issue_at, False, True)
+                    entry = self._mshr.allocate(line_addr, fill_time, True)
                     if faults is not None and faults.fires(
                         "icnt.drop_fill", issue_at, sm_id, "prefetch %#x" % line_addr
                     ):

@@ -41,7 +41,7 @@ class TestBasics:
         cache.insert(a, now=0)
         cache.insert(b, now=1)
         cache.lookup(a)  # must NOT promote a
-        assert cache.lru_victim(cache.set_index(a)).addr == a
+        assert cache.lines_in_set(cache.set_index(a))[0].addr == a  # LRU
 
     def test_insert_refill_keeps_line(self):
         cache = make_cache()

@@ -226,7 +226,3 @@ class TestIntrospection:
         assert l1.unused_prefetch_fraction(0) == 0.0
         prefetch_line(l1, 0, now=0)
         assert l1.unused_prefetch_fraction(10_000) > 0.0
-
-    def test_line_of(self):
-        l1, _ = make_l1()
-        assert l1.line_of(200) == 128

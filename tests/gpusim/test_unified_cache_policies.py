@@ -54,7 +54,7 @@ class TestTransferRatio:
         l1, _ = make_l1()
         l1._prefetch_inserted = 256
         l1._prefetch_transferred = 128
-        l1._decay_transfer_counters()
+        l1._install(0, now=0, is_prefetch=False)  # every fill decays first
         assert l1._prefetch_inserted == 128
         assert l1._prefetch_transferred == 64
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.snake import SnakePrefetcher
 from repro.serve.state import (
     ServeConfig,
     ServiceState,
@@ -180,7 +181,7 @@ def test_shard_fault_opens_breaker_and_degrades():
     assert state.counters["faults"] == 1
     # The wounded learner was replaced with a fresh one.
     session = state.sessions["x"]
-    assert not isinstance(session.shards[16 % config.shards], _Boom.__class__)
+    assert type(session.shards[16 % config.shards]) is SnakePrefetcher
     # While open, answers keep coming from the fallback...
     result = state.apply("x", 0, 16, 4096 + 64 * 11)
     assert result.degraded and not result.fault
